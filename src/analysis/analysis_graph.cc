@@ -10,6 +10,7 @@
 
 #include "analysis/rule.h"
 #include "netlist/cell.h"
+#include "obs/codec.h"
 #include "paths/transition_graph.h"
 #include "timing/clark_ssta.h"
 
@@ -24,22 +25,6 @@ using netlist::Netlist;
 namespace {
 
 bool valid_id(GateId f, std::size_t n) { return f < n; }
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a_words(const std::uint64_t* words, std::size_t n) {
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t w = words[i];
-    for (int b = 0; b < 8; ++b) {
-      h ^= w & 0xff;
-      h *= kFnvPrime;
-      w >>= 8;
-    }
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -154,7 +139,10 @@ std::size_t ObsMatrix::row_popcount(ArcId a) const {
 }
 
 std::uint64_t ObsMatrix::row_hash(ArcId a) const {
-  return fnv1a_words(words_.data() + a * words_per_row_, words_per_row_);
+  const std::uint64_t* row = words_.data() + a * words_per_row_;
+  obs::Fnv1a64 h;
+  for (std::size_t w = 0; w < words_per_row_; ++w) h.word(row[w]);
+  return h.value();
 }
 
 bool ObsMatrix::row_equal(ArcId a, ArcId b) const {
@@ -470,11 +458,7 @@ SensitizationFacts compute_sensitization_facts(
 namespace {
 
 std::string json_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
+  return std::isfinite(v) ? obs::json_number(v) : "null";
 }
 
 }  // namespace

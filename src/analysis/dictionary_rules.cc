@@ -12,6 +12,7 @@
 #include "analysis/analysis_graph.h"
 #include "analysis/pass.h"
 #include "introspect/confidence.h"
+#include "obs/codec.h"
 
 namespace sddd::analysis {
 
@@ -241,26 +242,19 @@ class DuplicateSignatureRule final : public Rule {
   }
 
   static std::uint64_t hash_matrix(const std::vector<std::vector<double>>& x) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t w) {
-      for (int b = 0; b < 8; ++b) {
-        h ^= w & 0xff;
-        h *= 0x100000001b3ULL;
-        w >>= 8;
-      }
-    };
-    mix(x.size());
+    obs::Fnv1a64 h;
+    h.word(x.size());
     for (const auto& row : x) {
-      mix(row.size());
+      h.word(row.size());
       for (const double v : row) {
         // Normalize +/-0.0 so equal() and the hash agree on it.
         std::uint64_t bits;
         const double canon = v == 0.0 ? 0.0 : v;
         std::memcpy(&bits, &canon, sizeof bits);
-        mix(bits);
+        h.word(bits);
       }
     }
-    return h;
+    return h.value();
   }
 
   static bool equal(const std::vector<std::vector<double>>& x,

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "obs/codec.h"
+
 namespace sddd::analysis {
 
 std::string_view severity_name(Severity s) {
@@ -52,52 +54,16 @@ std::string Report::to_text() const {
   return os.str();
 }
 
-namespace {
-
-void append_json_string(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 std::string Report::to_json() const {
   std::ostringstream os;
   os << "{\n  \"findings\": [";
   for (std::size_t i = 0; i < findings_.size(); ++i) {
     const Finding& f = findings_[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"rule_id\": ";
-    append_json_string(os, f.rule_id);
-    os << ", \"severity\": \"" << severity_name(f.severity)
-       << "\", \"location\": ";
-    append_json_string(os, f.location);
-    os << ", \"message\": ";
-    append_json_string(os, f.message);
-    os << "}";
+    os << (i == 0 ? "\n" : ",\n") << "    {\"rule_id\": "
+       << obs::json_quote(f.rule_id) << ", \"severity\": \""
+       << severity_name(f.severity)
+       << "\", \"location\": " << obs::json_quote(f.location)
+       << ", \"message\": " << obs::json_quote(f.message) << "}";
   }
   os << (findings_.empty() ? "" : "\n  ") << "],\n"
      << "  \"errors\": " << error_count() << ",\n"

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <new>
 
+#include "obs/codec.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 
@@ -32,31 +33,25 @@ obs::Counter& sig_cache_bytes_counter() {
 // stored pattern is always verified afterwards, so a collision only costs
 // one extra Entry in the bucket, never a wrong column.
 std::uint64_t pattern_fingerprint(const logicsim::PatternPair& p) {
-  constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t h = kOffset;
-  const auto mix = [&h](std::uint64_t byte) {
-    h ^= byte;
-    h *= kPrime;
-  };
-  const auto mix_bits = [&](const logicsim::Pattern& bits) {
-    mix(bits.size() & 0xff);
-    mix((bits.size() >> 8) & 0xff);
-    std::uint64_t word = 0;
+  obs::Fnv1a64 h;
+  const auto mix_bits = [&h](const logicsim::Pattern& bits) {
+    h.byte(static_cast<std::uint8_t>(bits.size()));
+    h.byte(static_cast<std::uint8_t>(bits.size() >> 8));
+    std::uint8_t byte = 0;
     std::size_t fill = 0;
     for (const bool bit : bits) {
-      word = (word << 1) | static_cast<std::uint64_t>(bit);
+      byte = static_cast<std::uint8_t>((byte << 1) | (bit ? 1 : 0));
       if (++fill == 8) {
-        mix(word);
-        word = 0;
+        h.byte(byte);
+        byte = 0;
         fill = 0;
       }
     }
-    if (fill != 0) mix(word);
+    if (fill != 0) h.byte(byte);
   };
   mix_bits(p.v1);
   mix_bits(p.v2);
-  return h;
+  return h.value();
 }
 
 bool same_pattern(const logicsim::PatternPair& a,

@@ -5,57 +5,25 @@
 
 #include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "obs/atomic_file.h"
+#include "obs/codec.h"
 #include "obs/faults.h"
 
 namespace sddd::eval {
 
 namespace {
 
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
+std::string double_hex(double d) {
+  return obs::hex64(std::bit_cast<std::uint64_t>(d));
 }
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
-bool parse_hex64(std::string_view s, std::uint64_t* out) {
-  if (s.empty() || s.size() > 16) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    v = (v << 4) | static_cast<std::uint64_t>(digit);
-  }
-  *out = v;
-  return true;
-}
-
-std::string double_hex(double d) { return hex64(std::bit_cast<std::uint64_t>(d)); }
 
 bool parse_double_hex(std::string_view s, double* out) {
   std::uint64_t bits = 0;
-  if (!parse_hex64(s, &bits)) return false;
+  if (!obs::parse_hex64(s, &bits)) return false;
   *out = std::bit_cast<double>(bits);
   return true;
 }
@@ -94,20 +62,14 @@ std::string unescape_message(std::string_view msg) {
 constexpr std::string_view kHeaderMagic = "sddd-ckpt v1 ";
 
 std::string header_line(std::uint64_t fingerprint, std::size_t n_trials) {
-  return std::string(kHeaderMagic) + hex64(fingerprint) + ' ' +
+  return std::string(kHeaderMagic) + obs::hex64(fingerprint) + ' ' +
          std::to_string(n_trials) + '\n';
 }
 
 void write_all_fd(int fd, std::string_view data, const std::string& path) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t w = ::write(fd, data.data() + off, data.size() - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw IoError("checkpoint write failed for " + path + ": " +
-                    std::strerror(errno));
-    }
-    off += static_cast<std::size_t>(w);
+  if (!obs::write_all(fd, data)) {
+    throw IoError("checkpoint write failed for " + path + ": " +
+                  std::strerror(errno));
   }
 }
 
@@ -159,7 +121,7 @@ std::uint64_t experiment_fingerprint(const std::string& circuit_name,
      << double_hex(c.library.arity_factor) << ','
      << double_hex(c.library.load_slope) << ','
      << double_hex(c.library.three_sigma_pct);
-  return fnv1a(os.str());
+  return obs::artifact_fnv(os.str());
 }
 
 std::string encode_checkpoint_record(std::size_t trial,
@@ -180,7 +142,7 @@ std::string encode_checkpoint_record(std::size_t trial,
   }
   os << " m=" << escape_message(r.error_message);
   const std::string payload = os.str();
-  return "T " + hex64(fnv1a(payload)) + ' ' + payload;
+  return "T " + obs::hex64(obs::artifact_fnv(payload)) + ' ' + payload;
 }
 
 bool decode_checkpoint_record(const std::string& line, CheckpointRecord* out) {
@@ -188,11 +150,12 @@ bool decode_checkpoint_record(const std::string& line, CheckpointRecord* out) {
   const std::size_t crc_end = line.find(' ', 2);
   if (crc_end == std::string::npos) return false;
   std::uint64_t crc = 0;
-  if (!parse_hex64(std::string_view(line).substr(2, crc_end - 2), &crc)) {
+  if (!obs::parse_hex64(std::string_view(line).substr(2, crc_end - 2),
+                        &crc)) {
     return false;
   }
   const std::string payload = line.substr(crc_end + 1);
-  if (fnv1a(payload) != crc) return false;
+  if (obs::artifact_fnv(payload) != crc) return false;
 
   // The message field is "m=<rest of line>"; split it off first so the
   // stream below only sees whitespace-delimited scalars.
@@ -271,7 +234,7 @@ CheckpointLoad load_checkpoint(const std::string& path,
     std::string fp_hex;
     std::size_t journal_trials = 0;
     std::uint64_t fp = 0;
-    if (!(hs >> fp_hex >> journal_trials) || !parse_hex64(fp_hex, &fp)) {
+    if (!(hs >> fp_hex >> journal_trials) || !obs::parse_hex64(fp_hex, &fp)) {
       return load;
     }
     if (fp != fingerprint || journal_trials != n_trials) {
@@ -362,56 +325,22 @@ void CheckpointWriter::flush() {
   }
 }
 
-namespace {
-
-/// 17 significant digits: enough for an exact double round trip, so two
-/// runs that compute identical doubles print identical bytes.
-std::string json_double(double d) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  return std::string(buf);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 void write_experiment_json(const ExperimentResult& result,
                            const std::string& path) {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"circuit\": \"" << json_escape(result.circuit_name) << "\",\n";
+  os << "  \"circuit\": " << obs::json_quote(result.circuit_name) << ",\n";
   // The experiment fingerprint, doubling as the run id every introspection
   // artifact (manifest, explain report) carries: equal run ids = same
   // deterministic computation.  A pure function of (circuit, config), so
   // it byte-matches across thread counts and checkpoint/resume cycles.
   os << "  \"run_id\": \""
-     << hex64(experiment_fingerprint(result.circuit_name, result.config))
+     << obs::hex64(experiment_fingerprint(result.circuit_name, result.config))
      << "\",\n";
   os << "  \"seed\": " << result.config.seed << ",\n";
   os << "  \"n_chips\": " << result.config.n_chips << ",\n";
   os << "  \"mc_samples\": " << result.config.mc_samples << ",\n";
-  os << "  \"clk\": " << json_double(result.clk) << ",\n";
+  os << "  \"clk\": " << obs::json_number(result.clk) << ",\n";
   // Deliberately no resumed_trials / timings here: they describe how the
   // run executed, not what it computed, and this file must byte-match
   // between an uninterrupted run and a kill+resume run.
@@ -420,13 +349,15 @@ void write_experiment_json(const ExperimentResult& result,
   os << "  \"quarantined_trials\": " << result.quarantined_trials() << ",\n";
   os << "  \"skipped_trials\": " << result.skipped_trials() << ",\n";
   os << "  \"diagnosable_trials\": " << result.diagnosable_trials() << ",\n";
-  os << "  \"avg_suspects\": " << json_double(result.avg_suspects()) << ",\n";
+  os << "  \"avg_suspects\": " << obs::json_number(result.avg_suspects())
+     << ",\n";
   os << "  \"success\": {";
   bool first_m = true;
   for (const auto m : result.config.methods) {
     for (const int k : {1, 5}) {
       os << (first_m ? "\n" : ",\n") << "    \"m" << static_cast<int>(m)
-         << "_top" << k << "\": " << json_double(result.success_rate(m, k));
+         << "_top" << k
+         << "\": " << obs::json_number(result.success_rate(m, k));
       first_m = false;
     }
   }
@@ -438,12 +369,12 @@ void write_experiment_json(const ExperimentResult& result,
        << trial_status_name(t.status) << "\"";
     if (t.status == TrialStatus::kQuarantined) {
       os << ", \"error_code\": \"" << error_code_name(t.error_code)
-         << "\", \"error\": \"" << json_escape(t.error_message) << "\"";
+         << "\", \"error\": " << obs::json_quote(t.error_message);
     }
     os << ", \"attempts\": " << t.injection_attempts
        << ", \"sample\": " << t.chip.sample_index
        << ", \"arc\": " << t.chip.defect_arc
-       << ", \"size\": " << json_double(t.chip.defect_size)
+       << ", \"size\": " << obs::json_number(t.chip.defect_size)
        << ", \"suspects\": " << t.n_suspects << ", \"ranks\": [";
     for (std::size_t m = 0; m < t.rank_of_true.size(); ++m) {
       os << (m == 0 ? "" : ", ") << t.rank_of_true[m];

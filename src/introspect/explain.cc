@@ -8,6 +8,7 @@
 
 #include "diagnosis/dictionary.h"
 #include "diagnosis/resolution.h"
+#include "obs/codec.h"
 #include "obs/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -41,38 +42,13 @@ obs::Counter& cells_counter() {
 /// Sim methods; Alg_rev's distance shrinks instead (and ranks low-first).
 bool score_increases_with_phi(Method m) { return m != Method::kRev; }
 
-/// 17 significant digits: exact double round trip, so identical doubles
-/// print identical bytes (mirrors the checkpoint JSON writer).
-std::string json_double(double d) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  return std::string(buf);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string interval_json(const Interval& iv) {
-  return "[" + json_double(iv.lo) + ", " + json_double(iv.hi) + "]";
+  std::string out = "[";
+  obs::append_json_number(&out, iv.lo);
+  out.append(", ");
+  obs::append_json_number(&out, iv.hi);
+  out.push_back(']');
+  return out;
 }
 
 /// Everything accumulated for one evaluated arc.  Detailed candidates keep
@@ -326,11 +302,11 @@ std::string to_json(const ExplanationReport& r) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"sddd-explain-v1\",\n";
-  os << "  \"circuit\": \"" << json_escape(r.circuit) << "\",\n";
-  os << "  \"run_id\": \"" << json_escape(r.run_id) << "\",\n";
+  os << "  \"circuit\": " << obs::json_quote(r.circuit) << ",\n";
+  os << "  \"run_id\": " << obs::json_quote(r.run_id) << ",\n";
   os << "  \"seed\": " << r.seed << ",\n";
   os << "  \"trial\": " << r.trial << ",\n";
-  os << "  \"clk\": " << json_double(r.clk) << ",\n";
+  os << "  \"clk\": " << obs::json_number(r.clk) << ",\n";
   os << "  \"mc_samples\": " << r.mc_samples << ",\n";
   os << "  \"n_patterns\": " << r.n_patterns << ",\n";
   os << "  \"n_outputs\": " << r.n_outputs << ",\n";
@@ -340,10 +316,10 @@ std::string to_json(const ExplanationReport& r) {
              ? std::string("-1")
              : std::to_string(r.injected_arc))
      << ",\n";
-  os << "  \"injected_size\": " << json_double(r.injected_size) << ",\n";
+  os << "  \"injected_size\": " << obs::json_number(r.injected_size) << ",\n";
   os << "  \"primary_method\": \"" << diagnosis::method_name(r.primary)
      << "\",\n";
-  os << "  \"top_margin\": " << json_double(r.top_margin) << ",\n";
+  os << "  \"top_margin\": " << obs::json_number(r.top_margin) << ",\n";
   os << "  \"near_tie\": " << (r.near_tie ? "true" : "false") << ",\n";
   os << "  \"rank_separable_at_95\": {";
   for (std::size_t i = 0; i < r.separability.size(); ++i) {
@@ -359,7 +335,7 @@ std::string to_json(const ExplanationReport& r) {
     os << "    {\"arc\": " << cand.arc << ", \"rank\": " << cand.rank
        << ", \"is_injected\": "
        << (cand.arc == r.injected_arc ? "true" : "false")
-       << ", \"phi_sum\": " << json_double(cand.phi_sum) << ",\n";
+       << ", \"phi_sum\": " << obs::json_number(cand.phi_sum) << ",\n";
     os << "     \"class_index\": " << cand.class_index
        << ", \"class_size\": " << cand.class_members.size()
        << ", \"class_members\": [";
@@ -372,8 +348,8 @@ std::string to_json(const ExplanationReport& r) {
       const auto& ms = cand.methods[i];
       os << (i == 0 ? "\n" : ",\n") << "       {\"method\": \""
          << diagnosis::method_name(ms.method) << "\", \"rank\": " << ms.rank
-         << ", \"score\": " << json_double(ms.score)
-         << ", \"ranking_key\": " << json_double(ms.ranking_key)
+         << ", \"score\": " << obs::json_number(ms.score)
+         << ", \"ranking_key\": " << obs::json_number(ms.ranking_key)
          << ", \"ci\": " << interval_json(ms.ci) << "}";
     }
     os << "\n     ],\n";
@@ -382,18 +358,18 @@ std::string to_json(const ExplanationReport& r) {
       const auto& pb = cand.patterns[j];
       os << (j == 0 ? "\n" : ",\n") << "       {\"pattern\": " << pb.pattern
          << ", \"observed_fails\": " << pb.observed_fails
-         << ", \"phi\": " << json_double(pb.phi)
+         << ", \"phi\": " << obs::json_number(pb.phi)
          << ", \"ci\": " << interval_json(pb.phi_ci) << ", \"cells\": [";
       for (std::size_t i = 0; i < pb.cells.size(); ++i) {
         const auto& cell = pb.cells[i];
         os << (i == 0 ? "\n" : ",\n") << "         {\"output\": "
            << cell.output << ", \"b\": " << (cell.observed_fail ? 1 : 0)
-           << ", \"m\": " << json_double(cell.m)
-           << ", \"e\": " << json_double(cell.e)
-           << ", \"s\": " << json_double(cell.s)
-           << ", \"matched\": " << json_double(cell.matched)
+           << ", \"m\": " << obs::json_number(cell.m)
+           << ", \"e\": " << obs::json_number(cell.e)
+           << ", \"s\": " << obs::json_number(cell.s)
+           << ", \"matched\": " << obs::json_number(cell.matched)
            << ", \"matched_ci\": " << interval_json(cell.matched_ci)
-           << ", \"factor\": " << json_double(cell.factor)
+           << ", \"factor\": " << obs::json_number(cell.factor)
            << ", \"agrees\": " << (cell.agrees ? "true" : "false") << "}";
       }
       os << "\n       ]}";

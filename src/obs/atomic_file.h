@@ -28,4 +28,8 @@ bool atomic_write_file(const std::string& path, std::string_view content);
 void atomic_write_file_or_throw(const std::string& path,
                                 std::string_view content);
 
+/// Writes all of `content` to `fd`, retrying short writes and EINTR.
+/// False on the first other error, with errno left as write(2) set it.
+bool write_all(int fd, std::string_view content);
+
 }  // namespace sddd::obs

@@ -4,10 +4,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,40 +13,13 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/atomic_file.h"
+#include "obs/codec.h"
 #include "obs/log.h"
 
 namespace sddd::obs {
 
 namespace {
-
-void append_escaped(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 std::string format_double(double v) {
   char buf[40];
@@ -56,199 +27,10 @@ std::string format_double(double v) {
   return buf;
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON cursor: just enough to read the flat-ish records the ledger
-// writes (strings, numbers, one level of nested {string: number} maps).
-// Unknown keys are skipped so old readers tolerate newer records.
-
-struct Cursor {
-  std::string_view s;
-  std::size_t i = 0;
-
-  bool done() const { return i >= s.size(); }
-  char peek() const { return done() ? '\0' : s[i]; }
-  void skip_ws() {
-    while (!done() && (s[i] == ' ' || s[i] == '\t')) ++i;
-  }
-  bool expect(char c) {
-    skip_ws();
-    if (peek() != c) return false;
-    ++i;
-    return true;
-  }
-};
-
-bool parse_string(Cursor* c, std::string* out) {
-  if (!c->expect('"')) return false;
-  out->clear();
-  while (!c->done()) {
-    const char ch = c->s[c->i++];
-    if (ch == '"') return true;
-    if (ch == '\\') {
-      if (c->done()) return false;
-      const char esc = c->s[c->i++];
-      switch (esc) {
-        case '"':
-          out->push_back('"');
-          break;
-        case '\\':
-          out->push_back('\\');
-          break;
-        case '/':
-          out->push_back('/');
-          break;
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case 'r':
-          out->push_back('\r');
-          break;
-        case 'u': {
-          if (c->i + 4 > c->s.size()) return false;
-          char hex[5] = {c->s[c->i], c->s[c->i + 1], c->s[c->i + 2],
-                         c->s[c->i + 3], '\0'};
-          c->i += 4;
-          out->push_back(static_cast<char>(
-              std::strtoul(hex, nullptr, 16) & 0xFFu));
-          break;
-        }
-        default:
-          return false;
-      }
-    } else {
-      out->push_back(ch);
-    }
-  }
-  return false;  // unterminated
-}
-
-/// Parses a JSON number; reports both renderings so callers can keep full
-/// 64-bit precision for integer counters.
-bool parse_number(Cursor* c, double* as_double, std::uint64_t* as_u64) {
-  c->skip_ws();
-  const std::size_t start = c->i;
-  bool integral = true;
-  if (c->peek() == '-') ++c->i;
-  while (!c->done()) {
-    const char ch = c->peek();
-    if (std::isdigit(static_cast<unsigned char>(ch)) != 0) {
-      ++c->i;
-    } else if (ch == '.' || ch == 'e' || ch == 'E' || ch == '+' || ch == '-') {
-      integral = false;
-      ++c->i;
-    } else {
-      break;
-    }
-  }
-  if (c->i == start) return false;
-  const std::string text(c->s.substr(start, c->i - start));
-  *as_double = std::strtod(text.c_str(), nullptr);
-  *as_u64 = integral ? std::strtoull(text.c_str(), nullptr, 10)
-                     : static_cast<std::uint64_t>(std::llround(*as_double));
-  return true;
-}
-
-/// Skips any JSON value (used for unknown keys).
-bool skip_value(Cursor* c) {
-  c->skip_ws();
-  const char ch = c->peek();
-  if (ch == '"') {
-    std::string dummy;
-    return parse_string(c, &dummy);
-  }
-  if (ch == '{' || ch == '[') {
-    const char close = ch == '{' ? '}' : ']';
-    ++c->i;
-    int depth = 1;
-    bool in_string = false;
-    while (!c->done() && depth > 0) {
-      const char k = c->s[c->i++];
-      if (in_string) {
-        if (k == '\\') {
-          if (!c->done()) ++c->i;
-        } else if (k == '"') {
-          in_string = false;
-        }
-      } else if (k == '"') {
-        in_string = true;
-      } else if (k == ch) {
-        ++depth;
-      } else if (k == close) {
-        --depth;
-      }
-    }
-    return depth == 0;
-  }
-  if (ch == 't') {
-    if (c->s.substr(c->i, 4) != "true") return false;
-    c->i += 4;
-    return true;
-  }
-  if (ch == 'f') {
-    if (c->s.substr(c->i, 5) != "false") return false;
-    c->i += 5;
-    return true;
-  }
-  if (ch == 'n') {
-    if (c->s.substr(c->i, 4) != "null") return false;
-    c->i += 4;
-    return true;
-  }
-  double d = 0.0;
-  std::uint64_t u = 0;
-  return parse_number(c, &d, &u);
-}
-
-/// Parses `{ "key": number, ... }` into either map (one may be null).
-bool parse_number_map(Cursor* c, std::map<std::string, double>* doubles,
-                      std::map<std::string, std::uint64_t>* u64s) {
-  if (!c->expect('{')) return false;
-  c->skip_ws();
-  if (c->peek() == '}') {
-    ++c->i;
-    return true;
-  }
-  while (true) {
-    std::string key;
-    if (!parse_string(c, &key)) return false;
-    if (!c->expect(':')) return false;
-    double d = 0.0;
-    std::uint64_t u = 0;
-    if (!parse_number(c, &d, &u)) return false;
-    if (doubles != nullptr) (*doubles)[key] = d;
-    if (u64s != nullptr) (*u64s)[key] = u;
-    c->skip_ws();
-    if (c->peek() == ',') {
-      ++c->i;
-      continue;
-    }
-    return c->expect('}');
-  }
-}
-
 constexpr std::string_view kCrcPrefix = "{\"crc\":\"";
 constexpr std::size_t kCrcHexLen = 16;
 
 }  // namespace
-
-std::uint64_t ledger_fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
-
-std::string ledger_hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 std::string encode_ledger_record(const LedgerRecord& rec) {
   // Payload first (everything the checksum covers), then the framing.
@@ -257,7 +39,7 @@ std::string encode_ledger_record(const LedgerRecord& rec) {
   p.append("\"v\":").append(std::to_string(rec.version));
   const auto field = [&p](const char* name, std::string_view value) {
     p.append(",\"").append(name).append("\":");
-    append_escaped(&p, value);
+    append_json_string(&p, value);
   };
   const auto u64_field = [&p](const char* name, std::uint64_t value) {
     p.append(",\"").append(name).append("\":").append(std::to_string(value));
@@ -281,7 +63,7 @@ std::string encode_ledger_record(const LedgerRecord& rec) {
   for (const auto& [name, seconds] : rec.phases) {
     if (!first) p.push_back(',');
     first = false;
-    append_escaped(&p, name);
+    append_json_string(&p, name);
     p.push_back(':');
     p.append(format_double(seconds));
   }
@@ -290,7 +72,7 @@ std::string encode_ledger_record(const LedgerRecord& rec) {
   for (const auto& [name, value] : rec.counters) {
     if (!first) p.push_back(',');
     first = false;
-    append_escaped(&p, name);
+    append_json_string(&p, name);
     p.push_back(':');
     p.append(std::to_string(value));
   }
@@ -305,7 +87,7 @@ std::string encode_ledger_record(const LedgerRecord& rec) {
   std::string line;
   line.reserve(p.size() + 32);
   line.append(kCrcPrefix);
-  line.append(ledger_hex64(ledger_fnv1a64(p)));
+  line.append(hex64(artifact_fnv(p)));
   line.append("\",");
   line.append(p);
   return line;
@@ -319,71 +101,75 @@ bool decode_ledger_record(std::string_view line, LedgerRecord* out) {
   const std::string_view crc_hex = line.substr(kCrcPrefix.size(), kCrcHexLen);
   if (line.substr(kCrcPrefix.size() + kCrcHexLen, 2) != "\",") return false;
   const std::string_view payload = line.substr(payload_at);
-  if (ledger_hex64(ledger_fnv1a64(payload)) != crc_hex) return false;
+  if (hex64(artifact_fnv(payload)) != crc_hex) return false;
 
-  // Parse the payload as an (opening-brace-less) JSON object body.
-  LedgerRecord rec;
-  Cursor c{payload, 0};
-  while (true) {
-    std::string key;
-    if (!parse_string(&c, &key)) return false;
-    if (!c.expect(':')) return false;
-    bool ok = true;
-    double d = 0.0;
-    std::uint64_t u = 0;
-    if (key == "v") {
-      ok = parse_number(&c, &d, &u);
-      rec.version = static_cast<int>(u);
-    } else if (key == "run_id") {
-      ok = parse_string(&c, &rec.run_id);
-    } else if (key == "tool") {
-      ok = parse_string(&c, &rec.tool);
-    } else if (key == "circuit") {
-      ok = parse_string(&c, &rec.circuit);
-    } else if (key == "git_sha") {
-      ok = parse_string(&c, &rec.git_sha);
-    } else if (key == "seed") {
-      ok = parse_number(&c, &d, &rec.seed);
-    } else if (key == "threads") {
-      ok = parse_number(&c, &d, &rec.threads);
-    } else if (key == "mc_samples") {
-      ok = parse_number(&c, &d, &rec.mc_samples);
-    } else if (key == "n_chips") {
-      ok = parse_number(&c, &d, &rec.n_chips);
-    } else if (key == "bench") {
-      ok = parse_string(&c, &rec.bench);
-    } else if (key == "clients") {
-      ok = parse_number(&c, &d, &rec.clients);
-    } else if (key == "batch") {
-      ok = parse_number(&c, &d, &rec.batch);
-    } else if (key == "wall_seconds") {
-      ok = parse_number(&c, &rec.wall_seconds, &u);
-    } else if (key == "phases") {
-      ok = parse_number_map(&c, &rec.phases, nullptr);
-    } else if (key == "counters") {
-      ok = parse_number_map(&c, nullptr, &rec.counters);
-    } else if (key == "peak_rss_kb") {
-      ok = parse_number(&c, &d, &rec.peak_rss_kb);
-    } else if (key == "manifest_fnv") {
-      ok = parse_string(&c, &rec.manifest_fnv);
-    } else if (key == "result_fnv") {
-      ok = parse_string(&c, &rec.result_fnv);
-    } else if (key == "result_path") {
-      ok = parse_string(&c, &rec.result_path);
-    } else if (key == "unix_ms") {
-      ok = parse_number(&c, &d, &rec.unix_ms);
-    } else {
-      ok = skip_value(&c);  // forward compatibility
-    }
-    if (!ok) return false;
-    c.skip_ws();
-    if (c.peek() == ',') {
-      ++c.i;
-      continue;
-    }
-    if (!c.expect('}')) return false;
-    break;
+  // The payload is the record object minus its opening brace.  Unknown
+  // keys are ignored so old readers tolerate newer records.
+  std::string doc;
+  doc.reserve(payload.size() + 1);
+  doc.push_back('{');
+  doc.append(payload);
+  JsonValue obj;
+  try {
+    obj = parse_json(doc);
+  } catch (const std::exception&) {
+    return false;
   }
+  LedgerRecord rec;
+  bool ok = true;
+  // A present field of the wrong JSON type makes the line corrupt.
+  const auto field = [&](const char* key,
+                          JsonValue::Kind kind) -> const JsonValue* {
+    const JsonValue* v = obj.get(key);
+    if (v == nullptr || v->kind == kind) return v;
+    ok = false;
+    return nullptr;
+  };
+  const auto str = [&](const char* key, std::string* dst) {
+    if (const JsonValue* v = field(key, JsonValue::Kind::kString)) {
+      *dst = v->string;
+    }
+  };
+  const auto u64 = [&](const char* key, std::uint64_t* dst) {
+    if (const JsonValue* v = field(key, JsonValue::Kind::kNumber)) {
+      *dst = v->as_u64();
+    }
+  };
+  std::uint64_t version = static_cast<std::uint64_t>(rec.version);
+  u64("v", &version);
+  rec.version = static_cast<int>(version);
+  str("run_id", &rec.run_id);
+  str("tool", &rec.tool);
+  str("circuit", &rec.circuit);
+  str("git_sha", &rec.git_sha);
+  u64("seed", &rec.seed);
+  u64("threads", &rec.threads);
+  u64("mc_samples", &rec.mc_samples);
+  u64("n_chips", &rec.n_chips);
+  str("bench", &rec.bench);
+  u64("clients", &rec.clients);
+  u64("batch", &rec.batch);
+  if (const JsonValue* v = field("wall_seconds", JsonValue::Kind::kNumber)) {
+    rec.wall_seconds = v->number;
+  }
+  if (const JsonValue* v = field("phases", JsonValue::Kind::kObject)) {
+    for (const auto& [name, x] : v->object) {
+      if (!x.is_number()) return false;
+      rec.phases[name] = x.number;
+    }
+  }
+  if (const JsonValue* v = field("counters", JsonValue::Kind::kObject)) {
+    for (const auto& [name, x] : v->object) {
+      if (!x.is_number()) return false;
+      rec.counters[name] = x.as_u64();
+    }
+  }
+  u64("peak_rss_kb", &rec.peak_rss_kb);
+  str("manifest_fnv", &rec.manifest_fnv);
+  str("result_fnv", &rec.result_fnv);
+  str("result_path", &rec.result_path);
+  u64("unix_ms", &rec.unix_ms);
+  if (!ok) return false;
   *out = std::move(rec);
   return true;
 }
@@ -397,18 +183,10 @@ bool append_ledger_record(const std::string& path, const LedgerRecord& rec) {
                    std::strerror(errno));
     return false;
   }
-  bool ok = true;
-  std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n = ::write(fd, line.data() + off, line.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      SDDD_LOG_ERROR("ledger: write to %s failed: %s", path.c_str(),
-                     std::strerror(errno));
-      ok = false;
-      break;
-    }
-    off += static_cast<std::size_t>(n);
+  const bool ok = write_all(fd, line);
+  if (!ok) {
+    SDDD_LOG_ERROR("ledger: write to %s failed: %s", path.c_str(),
+                   std::strerror(errno));
   }
   if (ok && ::fsync(fd) != 0) {
     SDDD_LOG_WARN("ledger: fsync %s failed: %s", path.c_str(),
@@ -456,7 +234,7 @@ std::string new_invocation_run_id(std::string_view tool,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count()));
-  return ledger_hex64(ledger_fnv1a64(seed));
+  return hex64(artifact_fnv(seed));
 }
 
 std::uint64_t read_peak_rss_kb() {
@@ -614,25 +392,25 @@ std::string ledger_diff_to_json(const LedgerDiff& d) {
   std::string j;
   j.reserve(1024);
   j.append("{\n  \"run_a\": ");
-  append_escaped(&j, d.run_a);
+  append_json_string(&j, d.run_a);
   j.append(",\n  \"run_b\": ");
-  append_escaped(&j, d.run_b);
+  append_json_string(&j, d.run_b);
   j.append(",\n  \"tool_a\": ");
-  append_escaped(&j, d.tool_a);
+  append_json_string(&j, d.tool_a);
   j.append(",\n  \"tool_b\": ");
-  append_escaped(&j, d.tool_b);
+  append_json_string(&j, d.tool_b);
   j.append(",\n  \"circuit_a\": ");
-  append_escaped(&j, d.circuit_a);
+  append_json_string(&j, d.circuit_a);
   j.append(",\n  \"circuit_b\": ");
-  append_escaped(&j, d.circuit_b);
+  append_json_string(&j, d.circuit_b);
   j.append(",\n  \"git_sha_a\": ");
-  append_escaped(&j, d.sha_a);
+  append_json_string(&j, d.sha_a);
   j.append(",\n  \"git_sha_b\": ");
-  append_escaped(&j, d.sha_b);
+  append_json_string(&j, d.sha_b);
   j.append(",\n  \"bench_a\": ");
-  append_escaped(&j, d.bench_a);
+  append_json_string(&j, d.bench_a);
   j.append(",\n  \"bench_b\": ");
-  append_escaped(&j, d.bench_b);
+  append_json_string(&j, d.bench_b);
   j.append(",\n  \"clients_a\": ").append(std::to_string(d.clients_a));
   j.append(",\n  \"clients_b\": ").append(std::to_string(d.clients_b));
   j.append(",\n  \"batch_a\": ").append(std::to_string(d.batch_a));
@@ -649,7 +427,7 @@ std::string ledger_diff_to_json(const LedgerDiff& d) {
     if (!first) j.push_back(',');
     first = false;
     j.append("\n    ");
-    append_escaped(&j, row.name);
+    append_json_string(&j, row.name);
     j.append(": {\"a\": ").append(format_double(row.a));
     j.append(", \"b\": ").append(format_double(row.b));
     j.append(", \"delta\": ").append(format_double(row.b - row.a));
@@ -663,7 +441,7 @@ std::string ledger_diff_to_json(const LedgerDiff& d) {
     if (!first) j.push_back(',');
     first = false;
     j.append("\n    ");
-    append_escaped(&j, row.name);
+    append_json_string(&j, row.name);
     j.append(": {\"a\": ").append(std::to_string(row.a));
     j.append(", \"b\": ").append(std::to_string(row.b));
     j.append(", \"delta\": ")
@@ -673,7 +451,7 @@ std::string ledger_diff_to_json(const LedgerDiff& d) {
   }
   j.append(first ? "}" : "\n  }");
   j.append(",\n  \"rank_stability\": ");
-  append_escaped(&j, d.rank_stability);
+  append_json_string(&j, d.rank_stability);
   j.append("\n}\n");
   return j;
 }

@@ -12,9 +12,9 @@
 //
 //   {"crc":"<16 hex>","v":1,"run_id":...,...}
 //
-// The crc is the FNV-1a-64 of every byte AFTER the `"crc":"....",` prefix
-// (i.e. of the payload `"v":1,...}`), so a reader can verify integrity
-// with plain string operations before parsing.  Torn or corrupt lines --
+// The crc is hex64(artifact_fnv(...)) (obs/codec.h) of every byte AFTER
+// the `"crc":"....",` prefix (i.e. of the payload `"v":1,...}`), so a
+// reader can verify integrity with plain string operations before parsing.  Torn or corrupt lines --
 // e.g. the tail of a file cut by a crash mid-append -- fail the checksum
 // and are skipped with a warning rather than poisoning the whole ledger,
 // mirroring the checkpoint journal's longest-valid-prefix policy.
@@ -64,12 +64,6 @@ struct LedgerRecord {
   std::string result_path;        ///< where the result JSON landed, or "".
   std::uint64_t unix_ms = 0;      ///< wall clock at append; NOT compared.
 };
-
-/// FNV-1a 64-bit over `bytes` (same parameters as the checkpoint journal).
-std::uint64_t ledger_fnv1a64(std::string_view bytes);
-
-/// Lower-case 16-hex rendering of `v`.
-std::string ledger_hex64(std::uint64_t v);
 
 /// Renders `rec` as one ledger line (no trailing newline), checksum filled.
 std::string encode_ledger_record(const LedgerRecord& rec);

@@ -9,6 +9,7 @@
 
 #include "obs/atomic_file.h"
 #include "obs/check.h"
+#include "obs/codec.h"
 
 namespace sddd::obs {
 
@@ -96,39 +97,6 @@ double MetricsSnapshot::delta_ns_to_seconds(const MetricsSnapshot& before,
   return static_cast<double>(counter_delta(before, after, name)) * 1e-9;
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 std::uint64_t MetricsSnapshot::HistogramData::total() const {
   std::uint64_t n = 0;
   for (const std::uint64_t c : counts) n += c;
@@ -166,7 +134,7 @@ void MetricsSnapshot::write_json(std::ostream& os) const {
   for (const auto& [name, v] : counters) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_json_string(os, name);
+    os << json_quote(name);
     os << ": " << v;
   }
   os << (first ? "}" : "\n  }") << ",\n  \"gauges\": {";
@@ -174,7 +142,7 @@ void MetricsSnapshot::write_json(std::ostream& os) const {
   for (const auto& [name, v] : gauges) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_json_string(os, name);
+    os << json_quote(name);
     os << ": " << v;
   }
   os << (first ? "}" : "\n  }") << ",\n  \"histograms\": {";
@@ -182,7 +150,7 @@ void MetricsSnapshot::write_json(std::ostream& os) const {
   for (const auto& [name, h] : histograms) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_json_string(os, name);
+    os << json_quote(name);
     os << ": {\"bounds\": [";
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
       os << (i ? ", " : "") << h.bounds[i];

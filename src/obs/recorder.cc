@@ -6,6 +6,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "obs/codec.h"
 #include "obs/metrics.h"
 
 namespace sddd::obs {
@@ -110,15 +111,7 @@ namespace {
 
 void append_event_json(std::ostream& os, const RecorderEvent& e) {
   os << "{\"kind\":\"" << event_kind_name(e.kind) << "\"";
-  if (e.detail[0] != '\0') {
-    os << ",\"detail\":\"";
-    for (const char* p = e.detail; *p != '\0'; ++p) {
-      const char c = *p;
-      if (c == '"' || c == '\\') os << '\\';
-      os << (static_cast<unsigned char>(c) < 0x20 ? '?' : c);
-    }
-    os << '"';
-  }
+  if (e.detail[0] != '\0') os << ",\"detail\":" << json_quote(e.detail);
   os << ",\"key\":" << e.key;
   if (e.a != 0) os << ",\"a\":" << e.a;
   if (e.b != 0) os << ",\"b\":" << e.b;
@@ -145,8 +138,9 @@ std::string Recorder::postmortem_json(std::string_view reason) const {
   const std::vector<RecorderEvent> events = merged_events();
   const std::size_t keep = std::min(events.size(), kMaxPostmortemEvents);
   std::ostringstream os;
-  os << "{\n  \"postmortem_version\": 1,\n  \"run_id\": \"" << run_id()
-     << "\",\n  \"reason\": \"" << reason << "\",\n  \"unix_ms\": "
+  os << "{\n  \"postmortem_version\": 1,\n  \"run_id\": "
+     << json_quote(run_id()) << ",\n  \"reason\": " << json_quote(reason)
+     << ",\n  \"unix_ms\": "
      << std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::system_clock::now().time_since_epoch())
             .count()

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "obs/atomic_file.h"
+#include "obs/codec.h"
 #include "obs/metrics.h"
 
 namespace sddd::obs {
@@ -17,35 +18,6 @@ namespace {
 /// stays far below this, so hitting it means a span was placed inside a
 /// per-sample loop by mistake.
 constexpr std::size_t kMaxEventsPerThread = 1u << 20;
-
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 }  // namespace
 
@@ -134,7 +106,7 @@ void Tracer::write_json(std::ostream& os) const {
   char num[64];
   for (const TraceEvent& e : all) {
     os << ",\n{\"name\": ";
-    write_escaped(os, e.name);
+    os << json_quote(e.name);
     os << ", \"cat\": \"sddd\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
        << e.tid;
     // Chrome trace timestamps are microseconds; keep ns resolution via the
@@ -150,7 +122,7 @@ void Tracer::write_json(std::ostream& os) const {
       for (std::uint8_t a = 0; a < e.n_args; ++a) {
         const TraceArg& arg = e.args[a];
         if (a > 0) os << ", ";
-        write_escaped(os, arg.key);
+        os << json_quote(arg.key);
         os << ": ";
         switch (arg.kind) {
           case TraceArg::Kind::kInt:
@@ -161,7 +133,7 @@ void Tracer::write_json(std::ostream& os) const {
             os << num;
             break;
           case TraceArg::Kind::kString:
-            write_escaped(os, arg.s);
+            os << json_quote(arg.s);
             break;
           case TraceArg::Kind::kNone:
             os << "null";

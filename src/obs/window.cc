@@ -1,19 +1,12 @@
 #include "obs/window.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "obs/codec.h"
 
 namespace sddd::obs {
 
 namespace {
-
-/// Shortest round-trip double rendering, matching the serve payloads
-/// (query.cc) so windowed quantiles diff cleanly against scored output.
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// True when a slot stamped `stamp_plus_one` is visible at `now_s`.
 bool slot_in_window(std::uint64_t stamp_plus_one, std::uint64_t now_s) {
@@ -131,7 +124,7 @@ std::string WindowSnapshot::to_json() const {
     out.append("\":{\"bounds\":[");
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
       if (i > 0) out.push_back(',');
-      out.append(format_double(h.bounds[i]));
+      append_json_number(&out, h.bounds[i]);
     }
     out.append("],\"counts\":[");
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
@@ -140,9 +133,12 @@ std::string WindowSnapshot::to_json() const {
     }
     out.append("],\"sum\":").append(std::to_string(h.sum));
     out.append(",\"total\":").append(std::to_string(h.total()));
-    out.append(",\"p50\":").append(format_double(h.quantile(0.50)));
-    out.append(",\"p95\":").append(format_double(h.quantile(0.95)));
-    out.append(",\"p99\":").append(format_double(h.quantile(0.99)));
+    out.append(",\"p50\":");
+    append_json_number(&out, h.quantile(0.50));
+    out.append(",\"p95\":");
+    append_json_number(&out, h.quantile(0.95));
+    out.append(",\"p99\":");
+    append_json_number(&out, h.quantile(0.99));
     out.push_back('}');
   }
   out.append("}}");

@@ -9,8 +9,8 @@
 #include <thread>
 #include <utility>
 
+#include "obs/codec.h"
 #include "obs/error.h"
-#include "obs/expo.h"
 #include "obs/metrics.h"
 #include "store/wire.h"
 
@@ -73,17 +73,11 @@ std::string mint_client_trace_id() {
   static std::atomic<std::uint64_t> counter{0};
   // FNV-1a over (pid, now, counter): unique enough across concurrent load
   // generators, and never needs coordination.
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(::getpid()));
-  mix(obs::now_ns());
-  mix(counter.fetch_add(1));
-  return obs::hex16(h);
+  return obs::hex64(obs::Fnv1a64(obs::kArtifactFnvBasis)
+                        .word(static_cast<std::uint64_t>(::getpid()))
+                        .word(obs::now_ns())
+                        .word(counter.fetch_add(1))
+                        .value());
 }
 
 std::string payload_with_trace_id(const std::string& payload,

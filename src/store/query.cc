@@ -1,7 +1,6 @@
 #include "store/query.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 
 #include "diagnosis/error_fn.h"
@@ -27,51 +26,7 @@ obs::Counter& diag_suspects_counter() {
   return c;
 }
 
-std::string json_double(double d) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  return buf;
-}
-
-void append_escaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 }  // namespace
-
-std::string json_quote(const std::string& s) {
-  std::string out;
-  append_escaped(&out, s);
-  return out;
-}
 
 std::vector<ArcId> StoreQueryEngine::extract_suspects(
     const diagnosis::BehaviorMatrix& B) const {
@@ -213,9 +168,9 @@ std::string diagnose_batch_json(const StoreQueryEngine& engine,
   const DictionaryStore& st = engine.store();
   std::string out;
   out.append("{\"ok\":true,\"op\":\"diagnose\",\"run_id\":");
-  append_escaped(&out, st.run_id());
+  obs::append_json_string(&out, st.run_id());
   out.append(",\"circuit\":");
-  append_escaped(&out, st.circuit());
+  obs::append_json_string(&out, st.circuit());
   out.append(",\"match\":\"").push_back(match_on_total_probability ? 'e' : 's');
   out.append("\",\"mc_samples\":").append(std::to_string(st.mc_samples()));
   out.append(",\"n_patterns\":").append(std::to_string(st.n_patterns()));
@@ -227,14 +182,14 @@ std::string diagnose_batch_json(const StoreQueryEngine& engine,
         chips[c].B, kMethods, match_on_total_probability,
         /*capture_phi=*/true);
     out.append("{\"id\":");
-    append_escaped(&out, chips[c].id);
+    obs::append_json_string(&out, chips[c].id);
     out.append(",\"n_suspects\":")
         .append(std::to_string(result.suspects.size()));
     out.append(",\"methods\":{");
     std::set<ArcId> reported;
     for (std::size_t m = 0; m < std::size(kMethods); ++m) {
       if (m > 0) out.push_back(',');
-      append_escaped(&out, std::string(diagnosis::method_name(kMethods[m])));
+      obs::append_json_string(&out, diagnosis::method_name(kMethods[m]));
       out.append(":[");
       const auto ranked = result.ranked(kMethods[m]);
       const std::size_t limit =
@@ -249,8 +204,10 @@ std::string diagnose_batch_json(const StoreQueryEngine& engine,
                       ranked[r].arc) -
             result.suspects.begin());
         out.append("{\"arc\":").append(std::to_string(ranked[r].arc));
-        out.append(",\"score\":").append(json_double(ranked[r].score));
-        out.append(",\"key\":").append(json_double(result.keys[m][s]));
+        out.append(",\"score\":");
+        obs::append_json_number(&out, ranked[r].score);
+        out.append(",\"key\":");
+        obs::append_json_number(&out, result.keys[m][s]);
         out.push_back('}');
       }
       out.push_back(']');
@@ -263,11 +220,11 @@ std::string diagnose_batch_json(const StoreQueryEngine& engine,
       const auto s = static_cast<std::size_t>(
           std::find(result.suspects.begin(), result.suspects.end(), a) -
           result.suspects.begin());
-      append_escaped(&out, std::to_string(a));
+      obs::append_json_string(&out, std::to_string(a));
       out.append(":[");
       for (std::size_t j = 0; j < result.phi[s].size(); ++j) {
         if (j > 0) out.push_back(',');
-        out.append(json_double(result.phi[s][j]));
+        obs::append_json_number(&out, result.phi[s][j]);
       }
       out.append("]");
     }

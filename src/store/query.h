@@ -24,6 +24,7 @@
 
 #include "diagnosis/behavior.h"
 #include "diagnosis/diagnoser.h"
+#include "obs/codec.h"
 #include "store/store.h"
 
 namespace sddd::store {
@@ -60,9 +61,9 @@ struct ChipQuery {
   diagnosis::BehaviorMatrix B{0, 0};
 };
 
-/// JSON string literal (quotes + escapes) of `s`; shared by every serve
-/// JSON renderer so equal strings always render byte-identically.
-std::string json_quote(const std::string& s);
+/// JSON string literal (quotes + escapes) of `s` (obs/codec.h): every
+/// renderer shares it, so equal strings always render byte-identically.
+using obs::json_quote;
 
 /// Parses behavior rows ("0101..." per output, column j = pattern j) into
 /// a BehaviorMatrix; throws sddd::ParseError on any dimension or character

@@ -17,12 +17,11 @@
 #include "diagnosis/dictionary.h"
 #include "eval/checkpoint.h"
 #include "eval/experiment.h"
-#include "introspect/manifest.h"
 #include "netlist/levelize.h"
 #include "obs/atomic_file.h"
+#include "obs/codec.h"
 #include "obs/error.h"
 #include "obs/faults.h"
-#include "obs/ledger.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "paths/transition_graph.h"
@@ -117,8 +116,7 @@ struct Reader {
 };
 
 std::uint64_t fnv1a(const unsigned char* p, std::uint64_t n) {
-  return obs::ledger_fnv1a64(
-      std::string_view(reinterpret_cast<const char*>(p), n));
+  return obs::Fnv1a64(obs::kArtifactFnvBasis).bytes(p, n).value();
 }
 
 std::uint64_t padded_to(std::uint64_t offset, std::uint64_t align) {
@@ -235,7 +233,7 @@ std::uint64_t store_fingerprint(const netlist::Netlist& nl,
     for (const bool b : p.v1) tail.push_back(b ? '\1' : '\0');
     for (const bool b : p.v2) tail.push_back(b ? '\1' : '\0');
   }
-  return obs::ledger_fnv1a64(tail);
+  return obs::artifact_fnv(tail);
 }
 
 void pack_pattern_bits(const logicsim::Pattern& v, std::size_t words,
@@ -396,9 +394,9 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
     out.append(name);
     put_u64(&out, offsets[s]);
     put_u64(&out, payloads[s].size());
-    put_u64(&out, obs::ledger_fnv1a64(payloads[s]));
+    put_u64(&out, obs::artifact_fnv(payloads[s]));
   }
-  put_u64(&out, obs::ledger_fnv1a64(out));
+  put_u64(&out, obs::artifact_fnv(out));
   for (std::size_t s = 0; s < kStoreSectionCount; ++s) {
     out.resize(offsets[s], '\0');  // alignment padding
     out.append(payloads[s]);
@@ -406,7 +404,7 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
 
   if (info != nullptr) {
     info->fingerprint = fingerprint;
-    info->run_id = introspect::to_hex64(fingerprint);
+    info->run_id = obs::hex64(fingerprint);
     info->clk = stack.clk;
     info->n_patterns = n_patterns;
     info->n_outputs = n_outputs;
@@ -547,8 +545,8 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
     if (crc != stored_header_crc) {
       throw StoreError("header",
                        path_ + ": header checksum mismatch (stored " +
-                           introspect::to_hex64(stored_header_crc) +
-                           ", computed " + introspect::to_hex64(crc) + ")");
+                           obs::hex64(stored_header_crc) +
+                           ", computed " + obs::hex64(crc) + ")");
     }
   }
 
@@ -593,8 +591,8 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
     if (crc != sec.crc) {
       throw StoreError(sec.name,
                        path_ + ": checksum mismatch in section '" + sec.name +
-                           "' (stored " + introspect::to_hex64(sec.crc) +
-                           ", computed " + introspect::to_hex64(crc) + ")");
+                           "' (stored " + obs::hex64(sec.crc) +
+                           ", computed " + obs::hex64(crc) + ")");
     }
   }
 
@@ -630,8 +628,8 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
   if (expect_fingerprint != 0 && fingerprint_ != expect_fingerprint) {
     throw StoreError("header",
                      path_ + ": fingerprint mismatch: store is " +
-                         introspect::to_hex64(fingerprint_) + ", expected " +
-                         introspect::to_hex64(expect_fingerprint));
+                         obs::hex64(fingerprint_) + ", expected " +
+                         obs::hex64(expect_fingerprint));
   }
 }
 
@@ -642,7 +640,7 @@ DictionaryStore::~DictionaryStore() {
 }
 
 std::string DictionaryStore::run_id() const {
-  return introspect::to_hex64(fingerprint_);
+  return obs::hex64(fingerprint_);
 }
 
 const double* DictionaryStore::m_column(std::size_t j) const {

@@ -16,6 +16,17 @@
 #include "timing/dynamic_sim.h"
 
 namespace sddd {
+namespace netlist {
+
+// gtest appends the printed parameter to each registered test name; the
+// default pointer printer would put a per-process (ASLR) address there, so
+// the names would change from one build or test discovery to the next.
+static void PrintTo(const IscasProfile* profile, std::ostream* os) {
+  *os << profile->name;
+}
+
+}  // namespace netlist
+
 namespace {
 
 using netlist::ArcId;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -15,12 +16,14 @@
 #include "eval/experiment.h"
 #include "introspect/manifest.h"
 #include "netlist/synth.h"
+#include "obs/codec.h"
 #include "obs/faults.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/recorder.h"
 #include "runtime/parallel_for.h"
+#include "test_tmp.h"
 
 namespace sddd {
 namespace {
@@ -30,10 +33,6 @@ namespace {
 struct FaultSpecGuard {
   ~FaultSpecGuard() { obs::set_fault_spec(""); }
 };
-
-std::filesystem::path temp_path(const std::string& name) {
-  return std::filesystem::path(::testing::TempDir()) / name;
-}
 
 std::string slurp(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -48,7 +47,8 @@ obs::LedgerRecord sample_record(const std::string& run_id) {
   rec.tool = "diagnose";
   rec.circuit = "s1196";
   rec.git_sha = "abc1234";
-  rec.seed = 42;
+  // Above 2^53: a reader that routes integers through double loses them.
+  rec.seed = std::numeric_limits<std::uint64_t>::max();
   rec.threads = 4;
   rec.mc_samples = 200;
   rec.n_chips = 20;
@@ -57,6 +57,7 @@ obs::LedgerRecord sample_record(const std::string& run_id) {
   rec.phases["trials_s"] = 10.0;
   rec.counters["diag.runs"] = 20;
   rec.counters["sig.cache_miss"] = 7;
+  rec.counters["sig.bytes"] = (std::uint64_t{1} << 53) + 1;
   rec.peak_rss_kb = 65536;
   rec.manifest_fnv = "00deadbeef001122";
   rec.result_fnv = "1122334455667788";
@@ -113,7 +114,7 @@ TEST(Ledger, CorruptionFailsTheChecksum) {
 }
 
 TEST(Ledger, TornTailIsSkippedNotFatal) {
-  const auto path = temp_path("ledger_torn.jsonl");
+  const auto path = test::temp_path("ledger_torn.jsonl");
   std::filesystem::remove(path);
   ASSERT_TRUE(obs::append_ledger_record(path.string(),
                                         sample_record("aaaaaaaaaaaaaaaa")));
@@ -145,7 +146,7 @@ TEST(Ledger, TornTailIsSkippedNotFatal) {
 }
 
 TEST(Ledger, MissingFileIsAnEmptyLedger) {
-  const auto path = temp_path("ledger_never_written.jsonl");
+  const auto path = test::temp_path("ledger_never_written.jsonl");
   std::filesystem::remove(path);
   EXPECT_TRUE(obs::load_ledger(path.string()).records.empty());
   EXPECT_FALSE(obs::ledger_tail(path.string()).has_value());
@@ -311,7 +312,7 @@ TEST(Recorder, QuarantinedTrialDumpsPostmortemCrossLinkedToManifest) {
   config.calibration_sites = 6;
   config.max_injection_retries = 40;
 
-  const auto path = temp_path("quarantine_postmortem.json");
+  const auto path = test::temp_path("quarantine_postmortem.json");
   std::filesystem::remove(path);
   obs::Recorder::instance().clear();
   obs::set_postmortem_out_path(path.string());
@@ -330,7 +331,7 @@ TEST(Recorder, QuarantinedTrialDumpsPostmortemCrossLinkedToManifest) {
   EXPECT_NE(bundle.find("trial.error"), std::string::npos);
   // ... and its run_id is the experiment fingerprint: the same 16-hex id
   // stamped into the run's manifest / result JSON / checkpoint journal.
-  const std::string expected_run_id = introspect::to_hex64(
+  const std::string expected_run_id = obs::hex64(
       eval::experiment_fingerprint(nl.name(), config));
   EXPECT_NE(bundle.find("\"run_id\": \"" + expected_run_id + "\""),
             std::string::npos)

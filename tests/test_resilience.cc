@@ -27,6 +27,7 @@
 #include "timing/delay_field.h"
 #include "timing/delay_model.h"
 #include "timing/dynamic_sim.h"
+#include "test_tmp.h"
 
 namespace sddd {
 namespace {
@@ -36,10 +37,6 @@ namespace {
 struct FaultSpecGuard {
   ~FaultSpecGuard() { obs::set_fault_spec(""); }
 };
-
-std::filesystem::path temp_path(const std::string& name) {
-  return std::filesystem::path(::testing::TempDir()) / name;
-}
 
 std::string slurp(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -188,7 +185,7 @@ TEST(FaultSpec, FaultPointThrowsTypedError) {
 // --- Atomic artifact writes ---
 
 TEST(AtomicFile, WritesAndReplaces) {
-  const auto path = temp_path("atomic_basic.txt");
+  const auto path = test::temp_path("atomic_basic.txt");
   ASSERT_TRUE(obs::atomic_write_file(path.string(), "first"));
   EXPECT_EQ(slurp(path), "first");
   ASSERT_TRUE(obs::atomic_write_file(path.string(), "second, longer"));
@@ -204,7 +201,7 @@ TEST(AtomicFile, WritesAndReplaces) {
 
 TEST(AtomicFile, OpenFaultLeavesOldContentIntact) {
   FaultSpecGuard guard;
-  const auto path = temp_path("atomic_openfault.txt");
+  const auto path = test::temp_path("atomic_openfault.txt");
   ASSERT_TRUE(obs::atomic_write_file(path.string(), "precious"));
   obs::set_fault_spec("io.open@*");
   EXPECT_FALSE(obs::atomic_write_file(path.string(), "clobber"));
@@ -217,7 +214,7 @@ TEST(AtomicFile, OpenFaultLeavesOldContentIntact) {
 
 TEST(AtomicFile, ShortWriteFaultLeavesOldContentIntact) {
   FaultSpecGuard guard;
-  const auto path = temp_path("atomic_shortwrite.txt");
+  const auto path = test::temp_path("atomic_shortwrite.txt");
   ASSERT_TRUE(obs::atomic_write_file(path.string(), "precious"));
   obs::set_fault_spec("io.short_write@*");
   EXPECT_FALSE(obs::atomic_write_file(path.string(), "clobbered payload"));
@@ -284,7 +281,7 @@ TEST(Checkpoint, CorruptRecordIsRejected) {
 }
 
 TEST(Checkpoint, LoadAcceptsLongestValidPrefixAndWriterTruncatesTail) {
-  const auto path = temp_path("journal_tail.ckpt");
+  const auto path = test::temp_path("journal_tail.ckpt");
   std::filesystem::remove(path);
   const std::uint64_t fp = 0x1234abcdULL;
   {
@@ -316,7 +313,7 @@ TEST(Checkpoint, LoadAcceptsLongestValidPrefixAndWriterTruncatesTail) {
 }
 
 TEST(Checkpoint, FingerprintMismatchRefusesToResume) {
-  const auto path = temp_path("journal_fp.ckpt");
+  const auto path = test::temp_path("journal_fp.ckpt");
   std::filesystem::remove(path);
   {
     eval::CheckpointWriter writer(path.string(), 1111, 4, 0, true);
@@ -397,7 +394,7 @@ TEST(ExperimentResilience, ResumeFromPartialJournalIsBitIdentical) {
 
   // Full journaled run, then cut the journal down to header + 2 records to
   // simulate a kill partway through.
-  const auto path = temp_path("journal_resume.ckpt");
+  const auto path = test::temp_path("journal_resume.ckpt");
   std::filesystem::remove(path);
   config.checkpoint_path = path.string();
   (void)eval::run_diagnosis_experiment(nl, config);
@@ -419,8 +416,8 @@ TEST(ExperimentResilience, ResumeFromPartialJournalIsBitIdentical) {
   }
 
   // The deterministic result JSON byte-matches the uninterrupted run's.
-  const auto ref_json = temp_path("ref.json");
-  const auto res_json = temp_path("res.json");
+  const auto ref_json = test::temp_path("ref.json");
+  const auto res_json = test::temp_path("res.json");
   eval::write_experiment_json(reference, ref_json.string());
   eval::write_experiment_json(resumed, res_json.string());
   EXPECT_EQ(slurp(ref_json), slurp(res_json));
@@ -434,7 +431,7 @@ TEST(ExperimentResilience, DeadlineDegradesThenResumeFinishes) {
   eval::ExperimentConfig config = small_config();
   const auto reference = eval::run_diagnosis_experiment(nl, config);
 
-  const auto path = temp_path("journal_deadline.ckpt");
+  const auto path = test::temp_path("journal_deadline.ckpt");
   std::filesystem::remove(path);
   config.checkpoint_path = path.string();
   config.deadline_s = 1e-9;  // expires before the first trial starts
@@ -459,7 +456,7 @@ TEST(ExperimentResilience, JournalAppendFaultOnlyCostsDurability) {
   FaultSpecGuard guard;
   const auto nl = small_netlist();
   eval::ExperimentConfig config = small_config();
-  const auto path = temp_path("journal_writefault.ckpt");
+  const auto path = test::temp_path("journal_writefault.ckpt");
   std::filesystem::remove(path);
   config.checkpoint_path = path.string();
   obs::set_fault_spec("ckpt.write@1");
@@ -536,7 +533,7 @@ TEST(BehaviorCsvHardening, DiagnosticsNameRowAndColumn) {
 }
 
 TEST(ParserHardening, BenchFileErrorsCarryPathAndLine) {
-  const auto path = temp_path("broken_input.bench");
+  const auto path = test::temp_path("broken_input.bench");
   {
     std::ofstream out(path);
     out << "INPUT(a)\ng = FROB(a)\n";
@@ -556,7 +553,7 @@ TEST(ParserHardening, BenchFileErrorsCarryPathAndLine) {
 }
 
 TEST(ParserHardening, VerilogFileErrorsCarryPathAndLine) {
-  const auto path = temp_path("broken_input.v");
+  const auto path = test::temp_path("broken_input.v");
   {
     std::ofstream out(path);
     out << "module m (a);\n  input a;\n  frob (x, a);\nendmodule\n";

@@ -19,6 +19,7 @@
 #include "store/server.h"
 #include "store/store.h"
 #include "store/wire.h"
+#include "test_tmp.h"
 
 namespace sddd {
 namespace {
@@ -26,10 +27,6 @@ namespace {
 struct FaultSpecGuard {
   ~FaultSpecGuard() { obs::set_fault_spec(""); }
 };
-
-std::filesystem::path temp_path(const std::string& name) {
-  return std::filesystem::path(::testing::TempDir()) / name;
-}
 
 netlist::Netlist serve_netlist(const std::string& name, std::uint64_t seed) {
   netlist::SynthSpec spec;
@@ -57,7 +54,7 @@ std::string build_store_and_request(const std::string& name,
                                     std::uint64_t seed, std::string* request,
                                     std::string* expected = nullptr) {
   const auto nl = serve_netlist(name, seed);
-  const auto path = temp_path(name + ".dict");
+  const auto path = test::temp_path(name + ".dict");
   store::build_dictionary_store(nl, small_config(), path.string());
   const store::DictionaryStore st(path.string());
   const auto sampled = store::sample_failing_chips(nl, st, 2);
@@ -83,7 +80,7 @@ TEST(Serve, DeadlineExpiryIsATypedResponse) {
 
   store::ServerConfig cfg;
   cfg.store_paths = {path};
-  cfg.unix_socket = temp_path("servedl.sock").string();
+  cfg.unix_socket = test::temp_path("servedl.sock").string();
   cfg.test_hold_seconds = 0.3;  // every request stalls past the deadline
   store::DiagnosisServer server(cfg);
   server.start();
@@ -114,7 +111,7 @@ TEST(Serve, InjectedDeadlineSeamFiresWithoutWallClock) {
 
   store::ServerConfig cfg;
   cfg.store_paths = {path};
-  cfg.unix_socket = temp_path("serveseam.sock").string();
+  cfg.unix_socket = test::temp_path("serveseam.sock").string();
   store::DiagnosisServer server(cfg);
   server.start();
 
@@ -133,6 +130,34 @@ TEST(Serve, InjectedDeadlineSeamFiresWithoutWallClock) {
   server.wait();
 }
 
+TEST(Serve, DeeplyNestedFrameIsATypedParseError) {
+  std::string request;
+  std::string expected;
+  const std::string path =
+      build_store_and_request("servedeep", 53, &request, &expected);
+
+  store::ServerConfig cfg;
+  cfg.store_paths = {path};
+  cfg.unix_socket = test::temp_path("servedeep.sock").string();
+  store::DiagnosisServer server(cfg);
+  server.start();
+
+  auto client = store::ServeClient::connect(cfg.unix_socket, -1);
+  // 100,000 '[' is a 100 KB frame, far under max_frame_bytes; a reader
+  // that recursed to the bottom of it would overflow the stack.
+  const std::string response = client.request(std::string(100000, '['));
+  EXPECT_NE(response.find("\"error\":\"parse\""), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("nesting"), std::string::npos) << response;
+
+  // Same connection: the server is still up and still diagnoses.
+  const std::string ok = client.request(request);
+  EXPECT_EQ(store::response_payload(ok), expected);
+
+  server.request_drain();
+  server.wait();
+}
+
 TEST(Serve, BackpressureShedsWithTypedOverload) {
   std::string request;
   const std::string path =
@@ -140,7 +165,7 @@ TEST(Serve, BackpressureShedsWithTypedOverload) {
 
   store::ServerConfig cfg;
   cfg.store_paths = {path};
-  cfg.unix_socket = temp_path("serveshed.sock").string();
+  cfg.unix_socket = test::temp_path("serveshed.sock").string();
   cfg.max_inflight = 0;  // deterministic: every diagnose sheds
   store::DiagnosisServer server(cfg);
   server.start();
@@ -166,7 +191,7 @@ TEST(Serve, WireBackwardCompatAndTraceEcho) {
 
   store::ServerConfig cfg;
   cfg.store_paths = {path};
-  cfg.unix_socket = temp_path("servecompat.sock").string();
+  cfg.unix_socket = test::temp_path("servecompat.sock").string();
   store::DiagnosisServer server(cfg);
   server.start();
 
@@ -220,7 +245,7 @@ TEST(Serve, CorruptStoreIsQuarantinedHealthyOnesServe) {
 
   store::ServerConfig cfg;
   cfg.store_paths = {good_path, bad_path};
-  cfg.unix_socket = temp_path("servequar.sock").string();
+  cfg.unix_socket = test::temp_path("servequar.sock").string();
   store::DiagnosisServer server(cfg);
   server.start();
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "netlist/synth.h"
+#include "obs/codec.h"
 #include "obs/error.h"
 #include "obs/expo.h"
 #include "obs/obs.h"
@@ -24,6 +25,7 @@
 #include "store/server.h"
 #include "store/store.h"
 #include "store/wire.h"
+#include "test_tmp.h"
 
 namespace sddd {
 namespace {
@@ -149,10 +151,10 @@ TEST(SlowRingObs, EvictionIsDeterministicTiesKeepTheEarlierEntry) {
 }
 
 TEST(TraceIdObs, CanonicalRoundTripAndValidation) {
-  EXPECT_EQ(obs::hex16(0x1f), "000000000000001f");
+  EXPECT_EQ(obs::hex64(0x1f), "000000000000001f");
   EXPECT_EQ(obs::trace_key("000000000000001f"), 0x1fu);
-  const std::string canonical = obs::hex16(0xdeadbeefcafef00dULL);
-  EXPECT_EQ(obs::hex16(obs::trace_key(canonical)), canonical);
+  const std::string canonical = obs::hex64(0xdeadbeefcafef00dULL);
+  EXPECT_EQ(obs::hex64(obs::trace_key(canonical)), canonical);
 
   EXPECT_TRUE(obs::valid_trace_id("load-gen.7"));
   EXPECT_TRUE(obs::valid_trace_id(canonical));
@@ -167,10 +169,6 @@ TEST(TraceIdObs, CanonicalRoundTripAndValidation) {
 
 // ---------------------------------------------------------------------------
 // Server-level: stats op, drain flush, retry identity
-
-std::filesystem::path temp_path(const std::string& name) {
-  return std::filesystem::path(::testing::TempDir()) / name;
-}
 
 netlist::Netlist obs_netlist(const std::string& name, std::uint64_t seed) {
   netlist::SynthSpec spec;
@@ -187,7 +185,7 @@ std::string build_obs_store_and_request(const std::string& name,
                                         std::uint64_t seed,
                                         std::string* request) {
   const auto nl = obs_netlist(name, seed);
-  const auto path = temp_path(name + ".dict");
+  const auto path = test::temp_path(name + ".dict");
   store::StoreBuildConfig config;
   config.mc_samples = 40;
   config.pattern_sites = 3;
@@ -214,7 +212,7 @@ TEST(ServeObs, StatsAnswersUnderShedAndCountsIt) {
 
   store::ServerConfig cfg;
   cfg.store_paths = {path};
-  cfg.unix_socket = temp_path("obsshed.sock").string();
+  cfg.unix_socket = test::temp_path("obsshed.sock").string();
   cfg.max_inflight = 0;  // deterministic: every diagnose sheds
   store::DiagnosisServer server(cfg);
   server.start();
@@ -266,7 +264,7 @@ TEST(ServeObs, StatsAnswersUnderShedAndCountsIt) {
 }
 
 TEST(ServeObs, DrainFlushesMetricsThroughTheExitWriter) {
-  const auto metrics_path = temp_path("obsflush_metrics.json");
+  const auto metrics_path = test::temp_path("obsflush_metrics.json");
   std::filesystem::remove(metrics_path);
   obs::set_metrics_out_path(metrics_path.string());
 
@@ -276,7 +274,7 @@ TEST(ServeObs, DrainFlushesMetricsThroughTheExitWriter) {
 
   store::ServerConfig cfg;
   cfg.store_paths = {path};
-  cfg.unix_socket = temp_path("obsflush.sock").string();
+  cfg.unix_socket = test::temp_path("obsflush.sock").string();
   store::DiagnosisServer server(cfg);
   server.start();
 
@@ -307,7 +305,7 @@ TEST(ServeObs, RetryReplaysOneTraceIdAcrossAttempts) {
 
   store::ServerConfig cfg;
   cfg.store_paths = {path};
-  cfg.unix_socket = temp_path("obsretry.sock").string();
+  cfg.unix_socket = test::temp_path("obsretry.sock").string();
   cfg.max_inflight = 0;  // every attempt sheds; the budget exhausts
   store::DiagnosisServer server(cfg);
   server.start();

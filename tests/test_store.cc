@@ -18,9 +18,9 @@
 #include "logicsim/bitsim.h"
 #include "netlist/levelize.h"
 #include "netlist/synth.h"
+#include "obs/codec.h"
 #include "obs/error.h"
 #include "obs/faults.h"
-#include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "store/query.h"
 #include "store/store.h"
@@ -28,6 +28,7 @@
 #include "timing/delay_field.h"
 #include "timing/delay_model.h"
 #include "timing/dynamic_sim.h"
+#include "test_tmp.h"
 
 namespace sddd {
 namespace {
@@ -35,10 +36,6 @@ namespace {
 struct FaultSpecGuard {
   ~FaultSpecGuard() { obs::set_fault_spec(""); }
 };
-
-std::filesystem::path temp_path(const std::string& name) {
-  return std::filesystem::path(::testing::TempDir()) / name;
-}
 
 void write_raw(const std::filesystem::path& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -86,7 +83,7 @@ TEST(Store, SerializationIsDeterministic) {
 
 TEST(Store, RoundTripMatchesInMemoryDiagnoser) {
   const auto nl = store_netlist();
-  const auto path = temp_path("roundtrip.dict");
+  const auto path = test::temp_path("roundtrip.dict");
   const auto config = small_config();
   store::build_dictionary_store(nl, config, path.string());
 
@@ -145,7 +142,7 @@ TEST(Store, TruncatedTailNamesTheSection) {
   const auto nl = store_netlist();
   const std::string bytes =
       store::serialize_dictionary_store(nl, small_config());
-  const auto path = temp_path("truncated.dict");
+  const auto path = test::temp_path("truncated.dict");
   write_raw(path, bytes.substr(0, bytes.size() - 16));
   const auto report = store::verify_store_file(path.string());
   EXPECT_FALSE(report.ok);
@@ -155,7 +152,7 @@ TEST(Store, TruncatedTailNamesTheSection) {
 
 TEST(Store, SingleBitFlipNamesTheSection) {
   const auto nl = store_netlist();
-  const auto good_path = temp_path("bitflip_good.dict");
+  const auto good_path = test::temp_path("bitflip_good.dict");
   store::build_dictionary_store(nl, small_config(), good_path.string());
   const store::DictionaryStore good(good_path.string());
   std::ifstream in(good_path, std::ios::binary);
@@ -164,7 +161,7 @@ TEST(Store, SingleBitFlipNamesTheSection) {
   for (const auto& sec : good.sections()) {
     std::string corrupt = bytes;
     corrupt[sec.offset + sec.bytes / 2] ^= 0x10;
-    const auto path = temp_path("bitflip_" + sec.name + ".dict");
+    const auto path = test::temp_path("bitflip_" + sec.name + ".dict");
     write_raw(path, corrupt);
     const auto report = store::verify_store_file(path.string());
     EXPECT_FALSE(report.ok) << sec.name;
@@ -183,7 +180,7 @@ TEST(Store, VersionMismatchRejected) {
        ++p) {
     std::uint64_t at = 0;
     std::memcpy(&at, bytes.data() + p, 8);
-    if (at == obs::ledger_fnv1a64(std::string_view(bytes.data(), p))) {
+    if (at == obs::artifact_fnv(std::string_view(bytes.data(), p))) {
       crc_pos = p;
       break;
     }
@@ -193,9 +190,9 @@ TEST(Store, VersionMismatchRejected) {
   // header so the version check, not the checksum, does the rejecting.
   bytes[8] = static_cast<char>(bytes[8] + 1);
   const std::uint64_t crc =
-      obs::ledger_fnv1a64(std::string_view(bytes.data(), crc_pos));
+      obs::artifact_fnv(std::string_view(bytes.data(), crc_pos));
   std::memcpy(bytes.data() + crc_pos, &crc, 8);
-  const auto path = temp_path("version.dict");
+  const auto path = test::temp_path("version.dict");
   write_raw(path, bytes);
   const auto report = store::verify_store_file(path.string());
   EXPECT_FALSE(report.ok);
@@ -206,7 +203,7 @@ TEST(Store, VersionMismatchRejected) {
 
 TEST(Store, FingerprintMismatchRejected) {
   const auto nl = store_netlist();
-  const auto path = temp_path("fingerprint.dict");
+  const auto path = test::temp_path("fingerprint.dict");
   const auto info =
       store::build_dictionary_store(nl, small_config(), path.string());
   // The store opens under its own fingerprint, and refuses a foreign one.
@@ -222,7 +219,7 @@ TEST(Store, FingerprintMismatchRejected) {
 
 TEST(Store, FaultSeamsCoverOpenAndChecksum) {
   const auto nl = store_netlist();
-  const auto path = temp_path("faults.dict");
+  const auto path = test::temp_path("faults.dict");
   store::build_dictionary_store(nl, small_config(), path.string());
 
   FaultSpecGuard guard;
