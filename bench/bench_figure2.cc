@@ -57,17 +57,18 @@ int main(int argc, char** argv) {
               phi_f1[0], phi_f1[1], phi_f2[0], phi_f2[1]);
 
   std::printf("%-12s %10s %10s   winner\n", "method", "fault #1", "fault #2");
+  ScoreAccumulator a1;
+  ScoreAccumulator a2;
+  for (int j = 0; j < 2; ++j) {
+    a1.add_phi(phi_f1[j]);
+    a2.add_phi(phi_f2[j]);
+  }
   for (const Method m :
        {Method::kSimI, Method::kSimII, Method::kSimIII, Method::kRev}) {
-    ScoreAccumulator a1(m);
-    ScoreAccumulator a2(m);
-    for (int j = 0; j < 2; ++j) {
-      a1.add_phi(phi_f1[j]);
-      a2.add_phi(phi_f2[j]);
-    }
-    const double s1 = a1.finish(2);
-    const double s2 = a2.finish(2);
-    const char* winner = ranks_better(m, a1.ranking_key(2), a2.ranking_key(2))
+    const double s1 = a1.finish(m, 2);
+    const double s2 = a2.finish(m, 2);
+    const char* winner = ranks_better(m, a1.ranking_key(m, 2),
+                                      a2.ranking_key(m, 2))
                              ? "fault #1"
                              : "fault #2";
     std::printf("%-12s %10.4f %10.4f   %s\n",

@@ -116,19 +116,16 @@ DiagnosisResult Diagnoser::diagnose(
     result.phi.assign(n_suspects, std::vector<double>(n_patterns, 0.0));
   }
 
-  // One accumulator per (method, suspect); filled pattern-by-pattern so a
-  // single baseline arrival matrix is alive at a time.
-  std::vector<std::vector<ScoreAccumulator>> acc;
-  acc.reserve(methods.size());
-  for (const Method m : methods) {
-    acc.emplace_back(n_suspects, ScoreAccumulator(m));
-  }
+  // One accumulator per suspect, serving every method; filled
+  // pattern-by-pattern so a single baseline arrival matrix is alive at a
+  // time.
+  std::vector<ScoreAccumulator> acc(n_suspects);
 
-  // Both scoring paths feed each (method, suspect) accumulator its phi
-  // values in pattern order, so scores and ranks are bit-identical for
-  // every thread count - and to each other (score_kernel.h carries the
-  // argument; tests/test_score_kernel.cc and the ci.sh kernel smoke step
-  // enforce it end to end).
+  // Both scoring paths feed each suspect's accumulator its phi values in
+  // pattern order, so scores and ranks are bit-identical for every thread
+  // count - and to each other (score_kernel.h carries the argument;
+  // tests/test_score_kernel.cc and the ci.sh kernel smoke step enforce it
+  // end to end).
   if (config_.cache != nullptr) {
     score_kernel_path(patterns, B, clk, result, acc);
   } else {
@@ -141,8 +138,8 @@ DiagnosisResult Diagnoser::diagnose(
     result.scores[m].resize(n_suspects);
     result.keys[m].resize(n_suspects);
     for (std::size_t s = 0; s < n_suspects; ++s) {
-      result.scores[m][s] = acc[m][s].finish(n_patterns);
-      result.keys[m][s] = acc[m][s].ranking_key(n_patterns);
+      result.scores[m][s] = acc[s].finish(methods[m], n_patterns);
+      result.keys[m][s] = acc[s].ranking_key(methods[m], n_patterns);
     }
   }
   diag_chip_ms_histogram().record(static_cast<double>(obs::now_ns() - t0) *
@@ -155,7 +152,7 @@ DiagnosisResult Diagnoser::diagnose(
 void Diagnoser::score_scalar(
     std::span<const logicsim::PatternPair> patterns, const BehaviorMatrix& B,
     double clk, DiagnosisResult& result,
-    std::vector<std::vector<ScoreAccumulator>>& acc) const {
+    std::vector<ScoreAccumulator>& acc) const {
   const std::size_t n_suspects = result.suspects.size();
   const std::size_t n_outputs = B.output_count();
 
@@ -176,7 +173,7 @@ void Diagnoser::score_scalar(
   // arrival matrix exists: the slice is built serially (it materializes
   // every arc-delay row its cones will read), then each suspect evaluates
   // its E column against the shared read-only slice and writes only its
-  // own accumulators.  Chunking lets one column buffer serve a whole run
+  // own accumulator.  Chunking lets one column buffer serve a whole run
   // of suspects instead of heap-allocating per (pattern, suspect).
   std::vector<bool> b_col(n_outputs);
   std::vector<char> inactive(n_suspects, 0);
@@ -227,7 +224,7 @@ void Diagnoser::score_scalar(
               phi_j = phi(col, b_col);
             }
             if (config_.capture_phi) result.phi[s][j] = phi_j;
-            for (auto& method_acc : acc) method_acc[s].add_phi(phi_j);
+            acc[s].add_phi(phi_j);
           }
         });
   }
@@ -236,7 +233,7 @@ void Diagnoser::score_scalar(
 void Diagnoser::score_kernel_path(
     std::span<const logicsim::PatternPair> patterns, const BehaviorMatrix& B,
     double clk, DiagnosisResult& result,
-    std::vector<std::vector<ScoreAccumulator>>& acc) const {
+    std::vector<ScoreAccumulator>& acc) const {
   const SignatureCache& cache = *config_.cache;
   if (cache.clk() != clk) {
     throw std::invalid_argument(
@@ -306,7 +303,7 @@ void Diagnoser::score_kernel_path(
         }
         for (std::size_t s = 0; s < n_suspects; ++s) {
           if (config_.capture_phi) result.phi[s][j] = phi_row[s];
-          for (auto& method_acc : acc) method_acc[s].add_phi(phi_row[s]);
+          acc[s].add_phi(phi_row[s]);
         }
       }
       note_phi_evals(n_active + (any_inactive ? 1 : 0));
@@ -330,7 +327,7 @@ void Diagnoser::score_kernel_path(
                       phi_row.data() + lo);
             for (std::size_t s = lo; s < hi; ++s) {
               if (config_.capture_phi) result.phi[s][j] = phi_row[s];
-              for (auto& method_acc : acc) method_acc[s].add_phi(phi_row[s]);
+              acc[s].add_phi(phi_row[s]);
             }
           });
     }

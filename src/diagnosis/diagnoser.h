@@ -137,14 +137,14 @@ class Diagnoser {
   void score_scalar(std::span<const logicsim::PatternPair> patterns,
                     const BehaviorMatrix& B, double clk,
                     DiagnosisResult& result,
-                    std::vector<std::vector<ScoreAccumulator>>& acc) const;
+                    std::vector<ScoreAccumulator>& acc) const;
 
   /// The cached kernel scoring loop: columns from config_.cache, packed B,
   /// blocked phi.  Bit-identical outputs to score_scalar.
   void score_kernel_path(std::span<const logicsim::PatternPair> patterns,
                          const BehaviorMatrix& B, double clk,
                          DiagnosisResult& result,
-                         std::vector<std::vector<ScoreAccumulator>>& acc) const;
+                         std::vector<ScoreAccumulator>& acc) const;
 
   const timing::DynamicTimingSimulator* sim_;
   const logicsim::BitSimulator* logic_sim_;

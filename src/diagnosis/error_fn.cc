@@ -119,22 +119,26 @@ std::unique_ptr<DiagnosisErrorFn> make_error_fn(Method m) {
   throw std::invalid_argument("make_error_fn: unknown method");
 }
 
-ScoreAccumulator::ScoreAccumulator(Method m) : method_(m) {}
-
 namespace {
 // Floor keeping log() finite; ~log(min subnormal) would do as well.
 constexpr double kLogFloor = 1e-300;
 }  // namespace
 
-void ScoreAccumulator::add_phi(double phi_j) {
-  sum_ += phi_j;
-  sq_sum_ += (1.0 - phi_j) * (1.0 - phi_j);
-  log1m_sum_ += std::log1p(-std::min(phi_j, 1.0 - 1e-16));
-  logphi_sum_ += std::log(std::max(phi_j, kLogFloor));
+ScoreAccumulator::Terms::Terms(double phi_j)
+    : phi(phi_j),
+      sq((1.0 - phi_j) * (1.0 - phi_j)),
+      log1m(std::log1p(-std::min(phi_j, 1.0 - 1e-16))),
+      logphi(std::log(std::max(phi_j, kLogFloor))) {}
+
+void ScoreAccumulator::add(const Terms& t) {
+  sum_ += t.phi;
+  sq_sum_ += t.sq;
+  log1m_sum_ += t.log1m;
+  logphi_sum_ += t.logphi;
 }
 
-double ScoreAccumulator::finish(std::size_t n_patterns) const {
-  switch (method_) {
+double ScoreAccumulator::finish(Method m, std::size_t n_patterns) const {
+  switch (m) {
     case Method::kSimI:
       return 1.0 - std::exp(log1m_sum_);
     case Method::kSimII:
@@ -147,8 +151,9 @@ double ScoreAccumulator::finish(std::size_t n_patterns) const {
   return 0.0;
 }
 
-double ScoreAccumulator::ranking_key(std::size_t n_patterns) const {
-  switch (method_) {
+double ScoreAccumulator::ranking_key(Method m,
+                                     std::size_t n_patterns) const {
+  switch (m) {
     case Method::kSimI:
       // Maximizing 1 - prod(1 - phi) == minimizing sum log(1 - phi).
       return -log1m_sum_;

@@ -65,9 +65,11 @@ class DiagnosisErrorFn {
 /// Factory for the built-in functions.
 std::unique_ptr<DiagnosisErrorFn> make_error_fn(Method m);
 
-/// Applies `fn` incrementally: the diagnoser accumulates phi values one
-/// pattern at a time without storing the full phi matrix.  Accumulator
-/// semantics per method are kept inside this class.
+/// Scores one suspect incrementally: the diagnoser accumulates phi values
+/// one pattern at a time without storing the full phi matrix.  The
+/// statistics every built-in method needs are kept together, so one
+/// accumulator per suspect serves all four methods and each phi_j costs
+/// one log1p and one log however many methods are requested.
 ///
 /// phi values are products over all primary outputs and can be far below
 /// double's representable range once |O| is large; the products in Methods
@@ -78,22 +80,31 @@ std::unique_ptr<DiagnosisErrorFn> make_error_fn(Method m);
 /// the probability-domain score of the paper's formulas.
 class ScoreAccumulator {
  public:
-  explicit ScoreAccumulator(Method m);
+  /// What one phi_j adds to each running statistic.  Suspects that share
+  /// a phi_j (the ones a pattern cannot observe) can share one Terms:
+  /// add(Terms(phi)) sums exactly the doubles add_phi(phi) sums, so the
+  /// log1p and log are paid once per shared value, not once per suspect.
+  struct Terms {
+    explicit Terms(double phi_j);
+    double phi;     ///< phi_j
+    double sq;      ///< (1 - phi_j)^2
+    double log1m;   ///< log1p(-min(phi_j, 1 - 1e-16))
+    double logphi;  ///< log(max(phi_j, 1e-300))
+  };
 
-  void add_phi(double phi_j);
+  void add_phi(double phi_j) { add(Terms(phi_j)); }
+  void add(const Terms& t);
 
-  /// The paper's probability-domain score (may underflow for I/III).
-  double finish(std::size_t n_patterns) const;
+  /// The paper's probability-domain score under `m` (may underflow for
+  /// I/III).
+  double finish(Method m, std::size_t n_patterns) const;
 
   /// Monotone surrogate of finish() computed in log space; always finite
   /// and strictly order-preserving.  Direction matches the method
   /// (ranks_better).
-  double ranking_key(std::size_t n_patterns) const;
-
-  Method method() const { return method_; }
+  double ranking_key(Method m, std::size_t n_patterns) const;
 
  private:
-  Method method_;
   double sum_ = 0.0;        ///< sum phi                    (Method II)
   double sq_sum_ = 0.0;     ///< sum (1 - phi)^2            (Alg_rev)
   double log1m_sum_ = 0.0;  ///< sum log(1 - phi)           (Method I)

@@ -57,8 +57,8 @@ std::string interval_json(const Interval& iv) {
 struct ArcEval {
   std::size_t suspect_index = 0;
   double phi_sum = 0.0;
-  std::vector<diagnosis::ScoreAccumulator> acc_lo;
-  std::vector<diagnosis::ScoreAccumulator> acc_hi;
+  diagnosis::ScoreAccumulator acc_lo;
+  diagnosis::ScoreAccumulator acc_hi;
   std::vector<PatternBreakdown> patterns;  ///< empty unless detailed
 };
 
@@ -128,10 +128,6 @@ ExplanationReport explain_diagnosis(
     ArcEval ev;
     ev.suspect_index =
         static_cast<std::size_t>(it - diag.suspects.begin());
-    for (const Method m : diag.methods) {
-      ev.acc_lo.emplace_back(m);
-      ev.acc_hi.emplace_back(m);
-    }
     evals.emplace(arc, std::move(ev));
   }
   const auto is_detailed = [&](ArcId arc) {
@@ -200,8 +196,8 @@ ExplanationReport explain_diagnosis(
         }
       }
       ev.phi_sum += phi_j;
-      for (auto& a : ev.acc_lo) a.add_phi(phi_iv.lo);
-      for (auto& a : ev.acc_hi) a.add_phi(phi_iv.hi);
+      ev.acc_lo.add_phi(phi_iv.lo);
+      ev.acc_hi.add_phi(phi_iv.hi);
       if (keep_cells) {
         pb.phi = phi_j;
         pb.phi_ci = phi_iv;
@@ -215,10 +211,10 @@ ExplanationReport explain_diagnosis(
   // two extreme accumulators bound it: increasing methods map [phi_lo,
   // phi_hi] to [score(lo), score(hi)], Alg_rev reverses the endpoints.
   const auto score_ci = [&](const ArcEval& ev, std::size_t mi) {
-    const double a = ev.acc_lo[mi].finish(n_patterns);
-    const double b = ev.acc_hi[mi].finish(n_patterns);
-    return score_increases_with_phi(diag.methods[mi]) ? Interval{a, b}
-                                                      : Interval{b, a};
+    const Method m = diag.methods[mi];
+    const double a = ev.acc_lo.finish(m, n_patterns);
+    const double b = ev.acc_hi.finish(m, n_patterns);
+    return score_increases_with_phi(m) ? Interval{a, b} : Interval{b, a};
   };
   const auto rank_under = [&](Method m, ArcId arc) {
     const auto& order = ranked.at(m);

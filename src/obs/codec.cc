@@ -42,9 +42,12 @@ bool parse_hex64(std::string_view s, std::uint64_t* out) {
 // JSON writers
 
 void append_json_number(std::string* out, double v) {
+  // to_chars(general, 17) is specified to print what printf's %.17g
+  // prints, without the format-string parse and locale lookup.
   char buf[32];
-  const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
-  out->append(buf, static_cast<std::size_t>(n));
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
 }
 
 std::string json_number(double v) {

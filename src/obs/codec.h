@@ -8,8 +8,9 @@
 //                            hashes.
 //   hex64 / parse_hex64      the 16-lowercase-hex spelling of a u64 (run
 //                            ids, trace ids, crcs) and its inverse.
-//   json_number              %.17g: the exact double round trip, so equal
-//                            doubles always print equal bytes.
+//   json_number              %.17g via std::to_chars: the exact double
+//                            round trip, so equal doubles always print
+//                            equal bytes.
 //   append_json_string       the one JSON string escaper.
 //   JsonValue / parse_json   the one JSON reader (server frames, the run
 //                            ledger, stats payloads).
@@ -90,8 +91,9 @@ bool parse_hex64(std::string_view s, std::uint64_t* out);
 // ---------------------------------------------------------------------------
 // JSON writers
 
-/// Appends `v` as %.17g.  Non-finite values print as "inf"/"nan", which is
-/// not JSON; callers that can see them must map them first.
+/// Appends `v` byte-for-byte as printf's %.17g would (std::to_chars,
+/// general format, precision 17).  Non-finite values print as "inf"/"nan",
+/// which is not JSON; callers that can see them must map them first.
 void append_json_number(std::string* out, double v);
 std::string json_number(double v);
 

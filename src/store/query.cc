@@ -1,6 +1,7 @@
 #include "store/query.h"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include "diagnosis/error_fn.h"
@@ -28,17 +29,35 @@ obs::Counter& diag_suspects_counter() {
 
 }  // namespace
 
+StoreQueryEngine::StoreQueryEngine(const DictionaryStore& store)
+    : store_(&store) {
+  const std::size_t words = store.arc_words();
+  mask_.assign(store.n_patterns() * words, 0);
+  for (std::size_t j = 0; j < store.n_patterns(); ++j) {
+    std::uint64_t* mask = mask_.data() + j * words;
+    for (std::size_t i = 0; i < store.n_outputs(); ++i) {
+      const std::uint64_t* row = store.cone_row(j, i);
+      for (std::size_t w = 0; w < words; ++w) mask[w] |= row[w];
+    }
+  }
+}
+
 std::vector<ArcId> StoreQueryEngine::extract_suspects(
     const diagnosis::BehaviorMatrix& B) const {
   const DictionaryStore& st = *store_;
   const std::size_t n_arcs = st.n_arcs();
-  std::vector<std::uint32_t> support(n_arcs, 0);
+  const std::size_t words = st.arc_words();
+  // Visits set bits only; sized to whole words so a stray bit past n_arcs
+  // in a row's last word stays in bounds (and out of the suspect set).
+  std::vector<std::uint32_t> support(words * 64, 0);
   for (const std::size_t j : B.failing_patterns()) {
     for (std::size_t i = 0; i < st.n_outputs(); ++i) {
       if (!B.at(i, j)) continue;
       const std::uint64_t* row = st.cone_row(j, i);
-      for (ArcId a = 0; a < n_arcs; ++a) {
-        if ((row[a >> 6] >> (a & 63)) & 1U) ++support[a];
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+          ++support[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+        }
       }
     }
   }
@@ -81,38 +100,53 @@ diagnosis::DiagnosisResult StoreQueryEngine::diagnose(
   if (capture_phi) {
     result.phi.assign(n_suspects, std::vector<double>(n_patterns, 0.0));
   }
-  std::vector<std::vector<diagnosis::ScoreAccumulator>> acc;
-  acc.reserve(methods.size());
-  for (const Method m : methods) {
-    acc.emplace_back(n_suspects, diagnosis::ScoreAccumulator(m));
-  }
+  std::vector<diagnosis::ScoreAccumulator> acc(n_suspects);
 
-  // The diagnoser's kernel scoring loop verbatim, with the cache lookups
-  // replaced by pointers into the mapping: per pattern, pack B's column,
-  // gather the suspect columns, phi_block over chunks whose boundaries
-  // depend only on (n, grain).  add_phi runs in pattern-major suspect
-  // order - scores and keys are bit-identical at any thread count.
-  std::vector<const double*> cols(n_suspects);
-  std::vector<double> phi_row(n_suspects);
+  // The diagnoser's collapsed kernel loop, with the cache lookups replaced
+  // by pointers into the mapping: per pattern, pack B's column, gather the
+  // columns of the suspects the pattern observes plus one baseline lane
+  // (m_column, or zeros in S mode) shared by all the others, and run one
+  // phi_block over them.  phi_block lanes are independent and an
+  // unobservable suspect's stored column is bit-equal to the baseline, so
+  // every suspect gets the phi the uncollapsed loop would compute, and
+  // add_phi runs in pattern order - scores and keys are bit-identical.
+  const std::vector<double> zeros(match_on_total_probability ? 0 : n_outputs,
+                                  0.0);
+  std::vector<const double*> cols;
+  std::vector<double> phi_lanes;
   diagnosis::PackedBColumn b;
   for (std::size_t j = 0; j < n_patterns; ++j) {
-    for (std::size_t s = 0; s < n_suspects; ++s) {
-      cols[s] = match_on_total_probability
-                    ? st.e_column(j, result.suspects[s])
-                    : st.s_column(j, result.suspects[s]);
+    cols.clear();
+    for (const ArcId a : result.suspects) {
+      if (!observable(j, a)) continue;
+      cols.push_back(match_on_total_probability ? st.e_column(j, a)
+                                                : st.s_column(j, a));
+    }
+    const std::size_t n_active = cols.size();
+    const bool any_inactive = n_active < n_suspects;
+    if (any_inactive) {
+      cols.push_back(match_on_total_probability ? st.m_column(j)
+                                                : zeros.data());
     }
     b.pack(B, j);
-    runtime::parallel_for_chunked(
-        n_suspects, 64, [&](std::size_t lo, std::size_t hi) {
-          diagnosis::phi_block(cols.data() + lo, hi - lo, n_outputs, b,
-                               phi_row.data() + lo);
-          for (std::size_t s = lo; s < hi; ++s) {
-            if (capture_phi) result.phi[s][j] = phi_row[s];
-            for (auto& method_acc : acc) method_acc[s].add_phi(phi_row[s]);
-          }
-        });
-    diagnosis::note_phi_evals(n_suspects);
-    diagnosis::note_kernel_pattern(n_suspects);
+    phi_lanes.resize(cols.size());
+    diagnosis::phi_block(cols.data(), cols.size(), n_outputs, b,
+                         phi_lanes.data());
+    // Scatter: each observable suspect its own lane, every other one the
+    // shared lane, whose accumulator terms are computed once.
+    const double shared = any_inactive ? phi_lanes[n_active] : 0.0;
+    const diagnosis::ScoreAccumulator::Terms shared_terms(shared);
+    for (std::size_t s = 0, k = 0; s < n_suspects; ++s) {
+      if (observable(j, result.suspects[s])) {
+        if (capture_phi) result.phi[s][j] = phi_lanes[k];
+        acc[s].add_phi(phi_lanes[k++]);
+      } else {
+        if (capture_phi) result.phi[s][j] = shared;
+        acc[s].add(shared_terms);
+      }
+    }
+    diagnosis::note_phi_evals(cols.size());
+    diagnosis::note_kernel_pattern(n_active);
   }
 
   result.scores.resize(methods.size());
@@ -121,8 +155,8 @@ diagnosis::DiagnosisResult StoreQueryEngine::diagnose(
     result.scores[m].resize(n_suspects);
     result.keys[m].resize(n_suspects);
     for (std::size_t s = 0; s < n_suspects; ++s) {
-      result.scores[m][s] = acc[m][s].finish(n_patterns);
-      result.keys[m][s] = acc[m][s].ranking_key(n_patterns);
+      result.scores[m][s] = acc[s].finish(methods[m], n_patterns);
+      result.keys[m][s] = acc[s].ranking_key(methods[m], n_patterns);
     }
   }
   obs::Recorder::instance().record(obs::EventKind::kDiagnose, "",
@@ -159,12 +193,83 @@ diagnosis::BehaviorMatrix behavior_from_rows(
   return B;
 }
 
+namespace {
+
+constexpr Method kBatchMethods[] = {Method::kSimI, Method::kSimII,
+                                    Method::kSimIII, Method::kRev};
+
+/// One chip's object of the batch response.
+std::string render_chip(const StoreQueryEngine& engine, const ChipQuery& chip,
+                        bool match_on_total_probability, std::size_t top_k) {
+  const diagnosis::DiagnosisResult result =
+      engine.diagnose(chip.B, kBatchMethods, match_on_total_probability,
+                      /*capture_phi=*/true);
+  // Suspects are extracted in ascending arc order, so an arc's row is a
+  // binary search away.
+  const auto row_of = [&](ArcId a) {
+    return static_cast<std::size_t>(
+        std::lower_bound(result.suspects.begin(), result.suspects.end(), a) -
+        result.suspects.begin());
+  };
+  std::string out;
+  out.append("{\"id\":");
+  obs::append_json_string(&out, chip.id);
+  out.append(",\"n_suspects\":").append(std::to_string(result.suspects.size()));
+  out.append(",\"methods\":{");
+  std::set<ArcId> reported;
+  for (std::size_t m = 0; m < std::size(kBatchMethods); ++m) {
+    if (m > 0) out.push_back(',');
+    obs::append_json_string(&out, diagnosis::method_name(kBatchMethods[m]));
+    out.append(":[");
+    const auto ranked = result.ranked(kBatchMethods[m]);
+    const std::size_t limit =
+        top_k == 0 ? ranked.size() : std::min(top_k, ranked.size());
+    for (std::size_t r = 0; r < limit; ++r) {
+      if (r > 0) out.push_back(',');
+      reported.insert(ranked[r].arc);
+      // The ranking key is reported next to the probability-domain
+      // score so byte-compared responses also pin the sort surrogate.
+      out.append("{\"arc\":").append(std::to_string(ranked[r].arc));
+      out.append(",\"score\":");
+      obs::append_json_number(&out, ranked[r].score);
+      out.append(",\"key\":");
+      obs::append_json_number(&out, result.keys[m][row_of(ranked[r].arc)]);
+      out.push_back('}');
+    }
+    out.push_back(']');
+  }
+  out.append("},\"phi\":{");
+  bool first_arc = true;
+  for (const ArcId a : reported) {
+    if (!first_arc) out.push_back(',');
+    first_arc = false;
+    const std::vector<double>& phi = result.phi[row_of(a)];
+    obs::append_json_string(&out, std::to_string(a));
+    out.append(":[");
+    for (std::size_t j = 0; j < phi.size(); ++j) {
+      if (j > 0) out.push_back(',');
+      obs::append_json_number(&out, phi[j]);
+    }
+    out.append("]");
+  }
+  out.append("}}");
+  return out;
+}
+
+}  // namespace
+
 std::string diagnose_batch_json(const StoreQueryEngine& engine,
                                 std::span<const ChipQuery> chips,
                                 bool match_on_total_probability,
                                 std::size_t top_k) {
-  static constexpr Method kMethods[] = {Method::kSimI, Method::kSimII,
-                                        Method::kSimIII, Method::kRev};
+  // Each chip renders into its own slot; the response concatenates them in
+  // chip order, so the bytes do not depend on the thread count.
+  std::vector<std::string> rendered(chips.size());
+  runtime::parallel_for(chips.size(), [&](std::size_t c) {
+    runtime::poll_cancellation();
+    rendered[c] =
+        render_chip(engine, chips[c], match_on_total_probability, top_k);
+  });
   const DictionaryStore& st = engine.store();
   std::string out;
   out.append("{\"ok\":true,\"op\":\"diagnose\",\"run_id\":");
@@ -175,60 +280,9 @@ std::string diagnose_batch_json(const StoreQueryEngine& engine,
   out.append("\",\"mc_samples\":").append(std::to_string(st.mc_samples()));
   out.append(",\"n_patterns\":").append(std::to_string(st.n_patterns()));
   out.append(",\"chips\":[");
-  for (std::size_t c = 0; c < chips.size(); ++c) {
-    runtime::poll_cancellation();
+  for (std::size_t c = 0; c < rendered.size(); ++c) {
     if (c > 0) out.push_back(',');
-    const diagnosis::DiagnosisResult result = engine.diagnose(
-        chips[c].B, kMethods, match_on_total_probability,
-        /*capture_phi=*/true);
-    out.append("{\"id\":");
-    obs::append_json_string(&out, chips[c].id);
-    out.append(",\"n_suspects\":")
-        .append(std::to_string(result.suspects.size()));
-    out.append(",\"methods\":{");
-    std::set<ArcId> reported;
-    for (std::size_t m = 0; m < std::size(kMethods); ++m) {
-      if (m > 0) out.push_back(',');
-      obs::append_json_string(&out, diagnosis::method_name(kMethods[m]));
-      out.append(":[");
-      const auto ranked = result.ranked(kMethods[m]);
-      const std::size_t limit =
-          top_k == 0 ? ranked.size() : std::min(top_k, ranked.size());
-      for (std::size_t r = 0; r < limit; ++r) {
-        if (r > 0) out.push_back(',');
-        reported.insert(ranked[r].arc);
-        // The ranking key is reported next to the probability-domain
-        // score so byte-compared responses also pin the sort surrogate.
-        const auto s = static_cast<std::size_t>(
-            std::find(result.suspects.begin(), result.suspects.end(),
-                      ranked[r].arc) -
-            result.suspects.begin());
-        out.append("{\"arc\":").append(std::to_string(ranked[r].arc));
-        out.append(",\"score\":");
-        obs::append_json_number(&out, ranked[r].score);
-        out.append(",\"key\":");
-        obs::append_json_number(&out, result.keys[m][s]);
-        out.push_back('}');
-      }
-      out.push_back(']');
-    }
-    out.append("},\"phi\":{");
-    bool first_arc = true;
-    for (const ArcId a : reported) {
-      if (!first_arc) out.push_back(',');
-      first_arc = false;
-      const auto s = static_cast<std::size_t>(
-          std::find(result.suspects.begin(), result.suspects.end(), a) -
-          result.suspects.begin());
-      obs::append_json_string(&out, std::to_string(a));
-      out.append(":[");
-      for (std::size_t j = 0; j < result.phi[s].size(); ++j) {
-        if (j > 0) out.push_back(',');
-        obs::append_json_number(&out, result.phi[s][j]);
-      }
-      out.append("]");
-    }
-    out.append("}}");
+    out.append(rendered[c]);
   }
   out.append("]}");
   return out;

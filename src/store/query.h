@@ -12,6 +12,18 @@
 // config - the byte-identity contract ci.sh enforces end to end through
 // the serve path.
 //
+// Scoring reads only what each pattern can observe.  At construction the
+// engine ORs every pattern's stored cone rows into a per-pattern activity
+// mask (n_patterns x arc_words bits): an arc outside pattern j's mask lies
+// on no active path to any output, so its stored E column is bit-equal to
+// m_column(j) and its S column is all +0.0 (DESIGN.md section 15 gives the
+// proof; tests/test_store.cc checks it column by column).  Per pattern,
+// suspects inside the mask get their own phi_block lane and every other
+// suspect shares one lane over the baseline column - the Diagnoser's
+// collapse_unobservable, with the mask in place of the transition graph.
+// The phi values are the ones the uncollapsed loop computes, so the
+// contract above is unaffected.
+//
 // diagnose_batch_json() is the single response renderer: `sddd_cli dict
 // query` (in-process) and the serve loop both emit its bytes verbatim, so
 // the two transports are cmp-comparable.
@@ -31,8 +43,9 @@ namespace sddd::store {
 
 class StoreQueryEngine {
  public:
-  /// The engine borrows `store`, which must outlive it.
-  explicit StoreQueryEngine(const DictionaryStore& store) : store_(&store) {}
+  /// The engine borrows `store`, which must outlive it, and builds the
+  /// per-pattern activity mask from its cone rows.
+  explicit StoreQueryEngine(const DictionaryStore& store);
 
   const DictionaryStore& store() const { return *store_; }
 
@@ -41,6 +54,14 @@ class StoreQueryEngine {
   /// Diagnoser::extract_suspects.
   std::vector<netlist::ArcId> extract_suspects(
       const diagnosis::BehaviorMatrix& B) const;
+
+  /// True when `arc` lies on an active path to some output under pattern
+  /// j (the OR of the pattern's cone rows).  Outside it the stored E
+  /// column equals m_column(j) and the S column is zero.
+  bool observable(std::size_t j, netlist::ArcId arc) const {
+    const std::uint64_t word = mask_[j * store_->arc_words() + (arc >> 6)];
+    return ((word >> (arc & 63)) & 1U) != 0;
+  }
 
   /// Full diagnosis over the stored columns.  `match_on_total_probability`
   /// selects the E ("e", default) vs S ("s") section;
@@ -53,6 +74,7 @@ class StoreQueryEngine {
 
  private:
   const DictionaryStore* store_;
+  std::vector<std::uint64_t> mask_;  ///< n_patterns x arc_words
 };
 
 /// One chip of a batch request.
@@ -72,8 +94,9 @@ diagnosis::BehaviorMatrix behavior_from_rows(
     const std::vector<std::string>& rows, std::size_t n_outputs,
     std::size_t n_patterns);
 
-/// Diagnoses every chip and renders the canonical response JSON (single
-/// line, no trailing newline):
+/// Diagnoses every chip (chips fan out over the runtime pool, each into
+/// its own slot) and renders the canonical response JSON in chip order
+/// (single line, no trailing newline):
 ///
 ///   {"ok":true,"op":"diagnose","run_id":...,"circuit":...,"match":"e"|"s",
 ///    "mc_samples":N,"n_patterns":N,
@@ -84,7 +107,8 @@ diagnosis::BehaviorMatrix behavior_from_rows(
 /// `top_k` caps each method's ranked list (0 = all suspects); "phi" holds
 /// the per-pattern consistency probabilities of the union of every
 /// method's reported arcs, keyed by arc id in ascending order.  All
-/// doubles are %.17g, so equal diagnoses render byte-identically.
+/// doubles print as %.17g would, so equal diagnoses render
+/// byte-identically.
 std::string diagnose_batch_json(const StoreQueryEngine& engine,
                                 std::span<const ChipQuery> chips,
                                 bool match_on_total_probability,

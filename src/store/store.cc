@@ -236,15 +236,16 @@ std::uint64_t store_fingerprint(const netlist::Netlist& nl,
   return obs::artifact_fnv(tail);
 }
 
+/// Writes `v` as `words` u64 words (bit i = input i) at `out`.
 void pack_pattern_bits(const logicsim::Pattern& v, std::size_t words,
-                       std::string* out) {
+                       char* out) {
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t bits = 0;
     for (std::size_t b = 0; b < 64; ++b) {
       const std::size_t i = w * 64 + b;
       if (i < v.size() && v[i]) bits |= 1ULL << b;
     }
-    put_u64(out, bits);
+    std::memcpy(out + w * 8, &bits, 8);
   }
 }
 
@@ -274,81 +275,17 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
     }
   });
 
-  // One pass per pattern: the slice materializes the baseline arrivals
-  // once; every arc's E and S columns evaluate against it in parallel
-  // (each (pattern, arc) writes only its own rows - deterministic at any
-  // thread count), and the pattern's per-output cone bitsets come from
-  // the same transition graph.
-  std::vector<double> m_data(n_patterns * n_outputs);
-  std::vector<double> e_data(n_patterns * n_arcs * n_outputs);
-  std::vector<double> s_data(n_patterns * n_arcs * n_outputs);
-  std::vector<std::uint64_t> cone_data(n_patterns * n_outputs * arc_words, 0);
-  for (std::size_t j = 0; j < n_patterns; ++j) {
-    runtime::poll_cancellation();
-    const diagnosis::PatternSlice slice(stack.dict_sim, stack.logic_sim,
-                                        stack.lev, stack.patterns[j],
-                                        stack.clk);
-    std::copy(slice.m_column().begin(), slice.m_column().end(),
-              m_data.begin() + static_cast<std::ptrdiff_t>(j * n_outputs));
-    const paths::TransitionGraph& tg = slice.transition_graph();
-    for (std::size_t i = 0; i < n_outputs; ++i) {
-      const auto cone = tg.cone_to_output(nl.outputs()[i]);
-      std::uint64_t* row =
-          cone_data.data() + (j * n_outputs + i) * arc_words;
-      for (std::size_t a = 0; a < n_arcs; ++a) {
-        if (cone[a]) row[a >> 6] |= 1ULL << (a & 63);
-      }
-    }
-    runtime::parallel_for_chunked(
-        n_arcs, 16, [&](std::size_t lo, std::size_t hi) {
-          std::vector<double> col;
-          for (std::size_t a = lo; a < hi; ++a) {
-            const std::size_t base = (j * n_arcs + a) * n_outputs;
-            slice.e_column_into(static_cast<ArcId>(a), size_tables[a], col);
-            std::copy(col.begin(), col.end(),
-                      e_data.begin() + static_cast<std::ptrdiff_t>(base));
-            slice.signature_column_into(static_cast<ArcId>(a), size_tables[a],
-                                        col);
-            std::copy(col.begin(), col.end(),
-                      s_data.begin() + static_cast<std::ptrdiff_t>(base));
-          }
-        });
-  }
-
-  // Section payloads in file order.
-  std::string payloads[kStoreSectionCount];
-  {
-    std::string& p = payloads[0];  // patterns
-    p.reserve(n_patterns * 2 * input_words * 8);
-    for (const auto& pat : stack.patterns) {
-      pack_pattern_bits(pat.v1, input_words, &p);
-      pack_pattern_bits(pat.v2, input_words, &p);
-    }
-  }
-  {
-    std::string& p = payloads[1];  // cones
-    p.reserve(cone_data.size() * 8);
-    for (const std::uint64_t w : cone_data) put_u64(&p, w);
-  }
-  const auto put_doubles = [](std::string& p, const std::vector<double>& d) {
-    p.reserve(d.size() * 8);
-    for (const double v : d) put_f64(&p, v);
-  };
-  put_doubles(payloads[2], m_data);
-  put_doubles(payloads[3], e_data);
-  put_doubles(payloads[4], s_data);
-  {
-    std::string& p = payloads[5];  // sizes
-    p.reserve(n_arcs * n_samples * 8);
-    for (const auto& table : size_tables) {
-      for (const double v : table) put_f64(&p, v);
-    }
-  }
-
-  const std::uint64_t fingerprint = store_fingerprint(nl, config, stack);
-
-  // Layout: header size is fixed given the circuit name, so offsets are
-  // computable before anything is written.
+  // Layout: every section's size follows from the dimensions and the header
+  // size from the circuit name, so the whole image is allocated up front
+  // (zero-filled, which is also +0.0 for every double) and each section is
+  // written in place.  Section payloads are native little-endian arrays.
+  const std::uint64_t section_bytes[kStoreSectionCount] = {
+      n_patterns * 2 * input_words * 8,        // patterns
+      n_patterns * n_outputs * arc_words * 8,  // cones
+      n_patterns * n_outputs * 8,              // m
+      n_patterns * n_arcs * n_outputs * 8,     // e
+      n_patterns * n_arcs * n_outputs * 8,     // s
+      n_arcs * n_samples * 8};                 // sizes
   const std::uint64_t header_bytes =
       8 + 4 + 4 + 8 + 8 + 8 + 8 +      // magic..clk_bits
       4 * 5 +                          // n_inputs..max_suspects
@@ -362,45 +299,129 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
   for (std::size_t s = 0; s < kStoreSectionCount; ++s) {
     cursor = padded_to(cursor, kStoreSectionAlign);
     offsets[s] = cursor;
-    cursor += payloads[s].size();
+    cursor += section_bytes[s];
   }
   const std::uint64_t total_bytes = cursor;
+  std::string out(total_bytes, '\0');
+  char* const patterns_at = out.data() + offsets[0];
+  char* const cones_at = out.data() + offsets[1];
+  char* const m_at = out.data() + offsets[2];
+  char* const e_at = out.data() + offsets[3];
+  char* const s_at = out.data() + offsets[4];
+  char* const sizes_at = out.data() + offsets[5];
+  const std::size_t column_bytes = n_outputs * sizeof(double);
 
-  std::string out;
-  out.reserve(total_bytes);
-  out.append(kStoreMagic, 8);
-  put_u32(&out, kStoreFormatVersion);
-  put_u32(&out, kStoreSectionCount);
-  put_u64(&out, fingerprint);
-  put_u64(&out, config.seed);
-  put_u64(&out, n_samples);
-  put_f64(&out, stack.clk);
-  put_u32(&out, static_cast<std::uint32_t>(n_inputs));
-  put_u32(&out, static_cast<std::uint32_t>(n_outputs));
-  put_u32(&out, static_cast<std::uint32_t>(n_patterns));
-  put_u32(&out, static_cast<std::uint32_t>(n_arcs));
-  put_u32(&out, static_cast<std::uint32_t>(config.max_suspects));
-  put_f64(&out, config.global_weight);
-  put_f64(&out, stack.size_model.unit());
-  put_f64(&out, config.defect_mean_lo);
-  put_f64(&out, config.defect_mean_hi);
-  put_f64(&out, config.defect_three_sigma);
-  put_u32(&out, static_cast<std::uint32_t>(nl.name().size()));
-  out.append(nl.name());
-  put_u64(&out, total_bytes);
+  for (std::size_t j = 0; j < n_patterns; ++j) {
+    const auto& pat = stack.patterns[j];
+    pack_pattern_bits(pat.v1, input_words,
+                      patterns_at + (2 * j) * input_words * 8);
+    pack_pattern_bits(pat.v2, input_words,
+                      patterns_at + (2 * j + 1) * input_words * 8);
+  }
+  for (std::size_t a = 0; a < n_arcs; ++a) {
+    std::memcpy(sizes_at + a * n_samples * 8, size_tables[a].data(),
+                n_samples * 8);
+  }
+
+  // One pass per pattern: the slice materializes the baseline arrivals
+  // once, and the pattern's per-output cone bitsets come from its
+  // transition graph.  Their OR is the pattern's activity mask: an arc
+  // outside it lies on no active path to any output, so a defect there
+  // leaves every output row at the baseline and its E column is the M
+  // column bit for bit (S is +0.0, already in place) - the invariant the
+  // query engine's collapse relies on (DESIGN.md section 15).  Only arcs
+  // inside the mask run the defect simulation, in parallel; each (pattern,
+  // arc) writes only its own columns, so the image is deterministic at any
+  // thread count.
+  std::vector<std::uint64_t> mask(arc_words);
+  std::vector<std::uint64_t> row(arc_words);
+  for (std::size_t j = 0; j < n_patterns; ++j) {
+    runtime::poll_cancellation();
+    const diagnosis::PatternSlice slice(stack.dict_sim, stack.logic_sim,
+                                        stack.lev, stack.patterns[j],
+                                        stack.clk);
+    const std::vector<double>& m_col = slice.m_column();
+    std::memcpy(m_at + j * column_bytes, m_col.data(), column_bytes);
+    const paths::TransitionGraph& tg = slice.transition_graph();
+    std::fill(mask.begin(), mask.end(), 0);
+    for (std::size_t i = 0; i < n_outputs; ++i) {
+      const auto cone = tg.cone_to_output(nl.outputs()[i]);
+      std::fill(row.begin(), row.end(), 0);
+      for (std::size_t a = 0; a < n_arcs; ++a) {
+        if (cone[a]) row[a >> 6] |= 1ULL << (a & 63);
+      }
+      for (std::size_t w = 0; w < arc_words; ++w) mask[w] |= row[w];
+      std::memcpy(cones_at + (j * n_outputs + i) * arc_words * 8, row.data(),
+                  arc_words * 8);
+    }
+    runtime::parallel_for_chunked(
+        n_arcs, 16, [&](std::size_t lo, std::size_t hi) {
+          std::vector<double> col;
+          for (std::size_t a = lo; a < hi; ++a) {
+            const std::size_t at = (j * n_arcs + a) * column_bytes;
+            if (((mask[a >> 6] >> (a & 63)) & 1U) == 0) {
+              std::memcpy(e_at + at, m_col.data(), column_bytes);
+              continue;
+            }
+            slice.e_column_into(static_cast<ArcId>(a), size_tables[a], col);
+            std::memcpy(e_at + at, col.data(), column_bytes);
+            // S = max(E - M, 0), PatternSlice::signature_column_into's
+            // arithmetic on the same E.
+            for (std::size_t i = 0; i < n_outputs; ++i) {
+              col[i] = std::max(col[i] - m_col[i], 0.0);
+            }
+            std::memcpy(s_at + at, col.data(), column_bytes);
+          }
+        });
+  }
+
+  // Section checksums, one section per task (e and s dominate).
+  std::uint64_t crcs[kStoreSectionCount];
+  runtime::parallel_for(kStoreSectionCount, [&](std::size_t s) {
+    crcs[s] = fnv1a(reinterpret_cast<const unsigned char*>(out.data()) +
+                        offsets[s],
+                    section_bytes[s]);
+  });
+
+  const std::uint64_t fingerprint = store_fingerprint(nl, config, stack);
+  std::string header;
+  header.reserve(header_bytes);
+  header.append(kStoreMagic, 8);
+  put_u32(&header, kStoreFormatVersion);
+  put_u32(&header, kStoreSectionCount);
+  put_u64(&header, fingerprint);
+  put_u64(&header, config.seed);
+  put_u64(&header, n_samples);
+  put_f64(&header, stack.clk);
+  put_u32(&header, static_cast<std::uint32_t>(n_inputs));
+  put_u32(&header, static_cast<std::uint32_t>(n_outputs));
+  put_u32(&header, static_cast<std::uint32_t>(n_patterns));
+  put_u32(&header, static_cast<std::uint32_t>(n_arcs));
+  put_u32(&header, static_cast<std::uint32_t>(config.max_suspects));
+  put_f64(&header, config.global_weight);
+  put_f64(&header, stack.size_model.unit());
+  put_f64(&header, config.defect_mean_lo);
+  put_f64(&header, config.defect_mean_hi);
+  put_f64(&header, config.defect_three_sigma);
+  put_u32(&header, static_cast<std::uint32_t>(nl.name().size()));
+  header.append(nl.name());
+  put_u64(&header, total_bytes);
   for (std::size_t s = 0; s < kStoreSectionCount; ++s) {
     std::string name(kStoreSectionNames[s]);
     name.resize(kStoreSectionNameLen, '\0');
-    out.append(name);
-    put_u64(&out, offsets[s]);
-    put_u64(&out, payloads[s].size());
-    put_u64(&out, obs::artifact_fnv(payloads[s]));
+    header.append(name);
+    put_u64(&header, offsets[s]);
+    put_u64(&header, section_bytes[s]);
+    put_u64(&header, crcs[s]);
   }
-  put_u64(&out, obs::artifact_fnv(out));
-  for (std::size_t s = 0; s < kStoreSectionCount; ++s) {
-    out.resize(offsets[s], '\0');  // alignment padding
-    out.append(payloads[s]);
+  put_u64(&header, obs::artifact_fnv(header));
+  if (header.size() != header_bytes) {
+    throw StoreError("header", "dict build: header is " +
+                                   std::to_string(header.size()) +
+                                   " bytes, layout reserved " +
+                                   std::to_string(header_bytes));
   }
+  std::memcpy(out.data(), header.data(), header.size());
 
   if (info != nullptr) {
     info->fingerprint = fingerprint;

@@ -1,14 +1,19 @@
 // Tests for the shared codec (obs/codec.h): the FNV-1a-64 hasher against
-// the reference vectors, hex64 round trips, the %.17g number writer, the
-// JSON string escaper (table-driven, every row round-tripped through the
-// reader) and the reader's limits - exact 64-bit integers, the nesting cap
-// and trailing-byte rejection.
+// the reference vectors, hex64 round trips, the %.17g number writer (and
+// its printf oracle), the JSON string escaper (table-driven, every row
+// round-tripped through the reader) and the reader's limits - exact 64-bit
+// integers, the nesting cap and trailing-byte rejection.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <random>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/codec.h"
 #include "obs/error.h"
@@ -67,6 +72,44 @@ TEST(Codec, JsonNumberIsSeventeenSignificantDigits) {
   std::string out = "x";
   obs::append_json_number(&out, 0.5);
   EXPECT_EQ(out, "x0.5");
+}
+
+// The writer promises printf's %.17g bytes; check it against printf itself
+// on the edge values and on 10^5 seeded random bit patterns (every
+// exponent, subnormals, NaN payloads and both signs).
+TEST(Codec, JsonNumberMatchesPrintfOracle) {
+  const auto oracle = [](double v) {
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+    return std::string(buf, static_cast<std::size_t>(n));
+  };
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      5e-324,
+      -5e-324,
+      DBL_MAX,
+      -DBL_MAX,
+      0.1,
+  };
+  std::mt19937_64 rng(20031);
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(std::bit_cast<double>(rng()));
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string want = oracle(v);
+    const std::string got = obs::json_number(v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits 0x" << obs::hex64(std::bit_cast<std::uint64_t>(v))
+                    << ": got " << got << ", printf gives " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
 }
 
 TEST(Codec, EscaperTableRoundTripsThroughTheReader) {

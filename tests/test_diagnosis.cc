@@ -71,11 +71,12 @@ TEST(ErrorFn, Direction) {
 
 TEST(ErrorFn, AccumulatorMatchesBatchScore) {
   const std::vector<double> phis = {0.9, 0.01, 0.4, 0.7};
+  ScoreAccumulator acc;
+  for (const double p : phis) acc.add_phi(p);
   for (const Method m : {Method::kSimI, Method::kSimII, Method::kSimIII,
                          Method::kRev}) {
-    ScoreAccumulator acc(m);
-    for (const double p : phis) acc.add_phi(p);
-    EXPECT_NEAR(acc.finish(phis.size()), make_error_fn(m)->score(phis), 1e-12)
+    EXPECT_NEAR(acc.finish(m, phis.size()), make_error_fn(m)->score(phis),
+                1e-12)
         << method_name(m);
   }
 }

@@ -1,11 +1,14 @@
 // Golden pins for every value the checkability story keys on: the FNV-1a-64
 // hash itself, the experiment fingerprint (run_id), one ledger line, one
-// checkpoint journal line and the SDDDICT1 header/section checksums of a
-// small store.  The literals were produced by the encoders as they stood
-// before the shared codec (obs/codec.h) replaced the per-module copies,
-// and they must never change: old ledgers, journals and stores have to
-// keep opening.  This file uses only long-standing public entry points,
-// so it compiles and passes unchanged on both sides of that refactor.
+// checkpoint journal line, the SDDDICT1 header/section checksums of a
+// small store and the bytes a store serves for a fixed chip batch.  The
+// literals were produced by the encoders as they stood before the shared
+// codec (obs/codec.h) replaced the per-module copies, and before the store
+// engine collapsed unobservable suspects (the served-bytes pins); they must
+// never change: old ledgers, journals and stores have to keep opening, and
+// a served diagnosis is a byte-identity contract.  This file uses only
+// long-standing public entry points, so it compiles and passes unchanged on
+// both sides of those refactors.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,12 +16,15 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "eval/checkpoint.h"
 #include "eval/experiment.h"
 #include "introspect/manifest.h"
 #include "netlist/synth.h"
+#include "obs/codec.h"
 #include "obs/ledger.h"
+#include "store/query.h"
 #include "store/store.h"
 #include "test_tmp.h"
 
@@ -210,6 +216,55 @@ TEST(GoldenPins, StoreHeaderAndSectionChecksums) {
   for (std::size_t s = 0; s < 6; ++s) {
     EXPECT_EQ(u64_at(bytes, table_at + s * 32 + 24), section_crcs[s])
         << "section " << s;
+  }
+}
+
+// The served response is what clients byte-compare, so pin the exact bytes
+// diagnose_batch_json renders (by their artifact FNV) for a fixed batch of
+// sampled chips, in both match modes, truncated and full.  Same circuit and
+// build config as the store tests' small_config store.
+TEST(GoldenPins, ServedDiagnoseBytes) {
+  netlist::SynthSpec spec;
+  spec.name = "storetest";
+  spec.n_inputs = 10;
+  spec.n_outputs = 6;
+  spec.n_gates = 50;
+  spec.depth = 7;
+  spec.seed = 23;
+  const netlist::Netlist nl = netlist::synthesize(spec);
+  store::StoreBuildConfig config;
+  config.mc_samples = 40;
+  config.pattern_sites = 3;
+  config.max_patterns = 8;
+  config.seed = 31;
+  const auto path = test::temp_path("golden_served.dict");
+  store::build_dictionary_store(nl, config, path.string());
+  const store::DictionaryStore st(path.string());
+  const store::StoreQueryEngine engine(st);
+
+  std::vector<store::ChipQuery> chips;
+  for (const store::SampledChip& c : store::sample_failing_chips(nl, st, 8)) {
+    chips.push_back({"chip" + std::to_string(chips.size()), c.B});
+  }
+  ASSERT_EQ(chips.size(), 8u);
+
+  struct Pin {
+    bool match_e;
+    std::size_t top_k;
+    std::uint64_t fnv;
+  };
+  const Pin pins[] = {
+      {true, 0, 0xd2c801150ca00de6ULL},
+      {true, 10, 0x6dce5002db19952bULL},
+      {false, 0, 0x312466f86c36086fULL},
+      {false, 10, 0x4bd1ab6ce96b4666ULL},
+  };
+  for (const Pin& pin : pins) {
+    const std::string bytes =
+        store::diagnose_batch_json(engine, chips, pin.match_e, pin.top_k);
+    EXPECT_EQ(obs::artifact_fnv(bytes), pin.fnv)
+        << "match " << (pin.match_e ? 'e' : 's') << " top_k " << pin.top_k
+        << ": got 0x" << obs::hex64(obs::artifact_fnv(bytes));
   }
 }
 

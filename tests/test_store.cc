@@ -1,8 +1,9 @@
 // Tests for the persistent dictionary store: build determinism, the
 // StoreQueryEngine's bit-identity to an in-process Diagnoser over the
-// same dictionary world, and the loader's corruption taxonomy (truncated
-// tails, single bit flips, version and fingerprint mismatches) with the
-// offending section named every time.
+// same dictionary world in both match modes, the exactness condition of
+// the engine's unobservable-suspect collapse, and the loader's corruption
+// taxonomy (truncated tails, single bit flips, version and fingerprint
+// mismatches) with the offending section named every time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -105,37 +106,83 @@ TEST(Store, RoundTripMatchesInMemoryDiagnoser) {
   const defect::DefectSizeModel size_model(
       model.mean_cell_delay(), config.defect_mean_lo, config.defect_mean_hi,
       config.defect_three_sigma, config.seed ^ 0x5e1fULL);
-  diagnosis::DiagnoserConfig dcfg;
-  dcfg.max_suspects = config.max_suspects;
-  dcfg.capture_phi = true;
-  const diagnosis::Diagnoser diagnoser(dict_sim, logic_sim, lev, size_model,
-                                       dcfg);
-
-  const auto chips = store::sample_failing_chips(nl, st, 3);
-  ASSERT_FALSE(chips.empty());
+  const auto chips = store::sample_failing_chips(nl, st, 8);
+  ASSERT_EQ(chips.size(), 8u);
   const auto patterns = st.patterns();
   const std::vector<diagnosis::Method> methods = {
       diagnosis::Method::kSimI, diagnosis::Method::kSimII,
       diagnosis::Method::kSimIII, diagnosis::Method::kRev};
   const store::StoreQueryEngine engine(st);
-  for (const auto& chip : chips) {
-    const auto from_store = engine.diagnose(chip.B, methods, true, true);
-    const auto in_memory =
-        diagnoser.diagnose(patterns, chip.B, methods, st.clk());
-    ASSERT_EQ(from_store.suspects, in_memory.suspects);
-    for (std::size_t m = 0; m < methods.size(); ++m) {
-      for (std::size_t s = 0; s < from_store.suspects.size(); ++s) {
-        // Bit-identical, not approximately equal: the store holds the raw
-        // doubles the Diagnoser would have computed.
-        EXPECT_EQ(from_store.scores[m][s], in_memory.scores[m][s]);
-        EXPECT_EQ(from_store.keys[m][s], in_memory.keys[m][s]);
+  // Both match modes, each against the scalar reference Diagnoser (no
+  // signature cache, no collapse) as the oracle.
+  for (const bool match_e : {true, false}) {
+    diagnosis::DiagnoserConfig dcfg;
+    dcfg.max_suspects = config.max_suspects;
+    dcfg.capture_phi = true;
+    dcfg.match_on_total_probability = match_e;
+    const diagnosis::Diagnoser diagnoser(dict_sim, logic_sim, lev, size_model,
+                                         dcfg);
+    for (const auto& chip : chips) {
+      const auto from_store = engine.diagnose(chip.B, methods, match_e, true);
+      const auto in_memory =
+          diagnoser.diagnose(patterns, chip.B, methods, st.clk());
+      ASSERT_EQ(from_store.suspects, in_memory.suspects);
+      for (std::size_t m = 0; m < methods.size(); ++m) {
+        for (std::size_t s = 0; s < from_store.suspects.size(); ++s) {
+          // Bit-identical, not approximately equal: the store holds the
+          // raw doubles the Diagnoser would have computed.
+          EXPECT_EQ(from_store.scores[m][s], in_memory.scores[m][s])
+              << "match " << (match_e ? 'e' : 's');
+          EXPECT_EQ(from_store.keys[m][s], in_memory.keys[m][s])
+              << "match " << (match_e ? 'e' : 's');
+        }
+      }
+      ASSERT_EQ(from_store.phi.size(), in_memory.phi.size());
+      for (std::size_t s = 0; s < from_store.phi.size(); ++s) {
+        EXPECT_EQ(from_store.phi[s], in_memory.phi[s])
+            << "match " << (match_e ? 'e' : 's');
       }
     }
-    ASSERT_EQ(from_store.phi.size(), in_memory.phi.size());
-    for (std::size_t s = 0; s < from_store.phi.size(); ++s) {
-      EXPECT_EQ(from_store.phi[s], in_memory.phi[s]);
+  }
+}
+
+// The engine scores every suspect outside a pattern's activity mask (the
+// OR of its cone rows) from one shared baseline lane.  That is exact only
+// if every such stored column is bit-equal to the baseline: E to M, and S
+// to +0.0.  Check every (pattern, arc) pair of the store, and that the
+// mask does leave some pairs out (otherwise the check proves nothing).
+TEST(Store, UnobservableColumnsEqualTheBaseline) {
+  const auto nl = store_netlist();
+  const auto path = test::temp_path("unobservable.dict");
+  store::build_dictionary_store(nl, small_config(), path.string());
+  const store::DictionaryStore st(path.string());
+  const store::StoreQueryEngine engine(st);
+  const std::size_t n_outputs = st.n_outputs();
+  const std::vector<double> zeros(n_outputs, 0.0);
+  std::size_t outside = 0;
+  for (std::size_t j = 0; j < st.n_patterns(); ++j) {
+    for (netlist::ArcId a = 0; a < st.n_arcs(); ++a) {
+      bool in_cone = false;
+      for (std::size_t i = 0; i < n_outputs; ++i) {
+        in_cone = in_cone || ((st.cone_row(j, i)[a >> 6] >> (a & 63)) & 1U);
+      }
+      ASSERT_EQ(engine.observable(j, a), in_cone)
+          << "pattern " << j << " arc " << a;
+      if (in_cone) continue;
+      ++outside;
+      EXPECT_EQ(std::memcmp(st.e_column(j, a), st.m_column(j),
+                            n_outputs * sizeof(double)),
+                0)
+          << "pattern " << j << " arc " << a;
+      // memcmp against +0.0, so a -0.0 would fail too.
+      EXPECT_EQ(std::memcmp(st.s_column(j, a), zeros.data(),
+                            n_outputs * sizeof(double)),
+                0)
+          << "pattern " << j << " arc " << a;
     }
   }
+  EXPECT_GT(outside, 0u);
+  EXPECT_LT(outside, st.n_patterns() * st.n_arcs());
 }
 
 TEST(Store, TruncatedTailNamesTheSection) {
