@@ -1,5 +1,8 @@
 #include "diagnosis/score_kernel.h"
 
+#include "diagnosis/error_fn.h"
+#include "obs/recorder.h"
+
 namespace sddd::diagnosis {
 
 namespace {
@@ -17,23 +20,6 @@ obs::Counter& kernel_suspects_counter() {
 }
 
 }  // namespace
-
-obs::Counter& kernel_build_ns_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().register_counter("diag.kernel.build_ns");
-  return c;
-}
-
-obs::Counter& kernel_phi_ns_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().register_counter("diag.kernel.phi_ns");
-  return c;
-}
-
-void note_kernel_pattern(std::size_t n_suspects) {
-  kernel_patterns_counter().add(1);
-  kernel_suspects_counter().add(static_cast<std::uint64_t>(n_suspects));
-}
 
 void PackedBColumn::pack(const BehaviorMatrix& B, std::size_t pattern) {
   n_ = B.output_count();
@@ -89,6 +75,64 @@ void phi_block(const double* const* cols, std::size_t n_cols,
     }
     out[base] = a;
   }
+}
+
+void score_suspects(const ColumnSource& source, const BehaviorMatrix& B,
+                    bool capture_phi, DiagnosisResult& result) {
+  const std::size_t n_suspects = result.suspects.size();
+  const std::size_t n_patterns = B.pattern_count();
+  const std::size_t n_outputs = B.output_count();
+  if (capture_phi) {
+    result.phi.assign(n_suspects, std::vector<double>(n_patterns, 0.0));
+  }
+  // One accumulator per suspect, serving every method; all buffers are
+  // sized once, so the pattern loop allocates nothing.
+  std::vector<ScoreAccumulator> acc(n_suspects);
+  PatternLanes lanes;
+  lanes.cols.reserve(n_suspects + 1);
+  lanes.observable.resize(n_suspects);
+  std::vector<double> phi_lanes(n_suspects + 1);
+  PackedBColumn b;
+  for (std::size_t j = 0; j < n_patterns; ++j) {
+    lanes.cols.clear();
+    const double* baseline = source.gather(j, result.suspects, lanes);
+    const std::size_t n_active = lanes.cols.size();
+    const bool any_inactive = n_active < n_suspects;
+    if (any_inactive) lanes.cols.push_back(baseline);
+    b.pack(B, j);
+    phi_block(lanes.cols.data(), lanes.cols.size(), n_outputs, b,
+              phi_lanes.data());
+    // Scatter: each observable suspect its own lane, every other one the
+    // shared lane, whose accumulator terms are computed once.  phi_block
+    // lanes are independent, so every suspect gets the phi an uncollapsed
+    // loop computes for it, and add() runs in pattern order.
+    const double shared = any_inactive ? phi_lanes[n_active] : 0.0;
+    const ScoreAccumulator::Terms shared_terms(shared);
+    for (std::size_t s = 0, k = 0; s < n_suspects; ++s) {
+      if (lanes.observable[s]) {
+        if (capture_phi) result.phi[s][j] = phi_lanes[k];
+        acc[s].add_phi(phi_lanes[k++]);
+      } else {
+        if (capture_phi) result.phi[s][j] = shared;
+        acc[s].add(shared_terms);
+      }
+    }
+    note_phi_evals(lanes.cols.size());
+    kernel_patterns_counter().add(1);
+    kernel_suspects_counter().add(static_cast<std::uint64_t>(n_active));
+  }
+
+  const std::size_t n_methods = result.methods.size();
+  result.scores.assign(n_methods, std::vector<double>(n_suspects));
+  result.keys.assign(n_methods, std::vector<double>(n_suspects));
+  for (std::size_t m = 0; m < n_methods; ++m) {
+    for (std::size_t s = 0; s < n_suspects; ++s) {
+      result.scores[m][s] = acc[s].finish(result.methods[m], n_patterns);
+      result.keys[m][s] = acc[s].ranking_key(result.methods[m], n_patterns);
+    }
+  }
+  obs::Recorder::instance().record(obs::EventKind::kDiagnose, "",
+                                   B.failure_count(), n_suspects, n_patterns);
 }
 
 }  // namespace sddd::diagnosis

@@ -1,5 +1,6 @@
-// score_kernel.h - The per-chip scoring hot path: phi for a whole suspect
-// block against one chip's bit-packed behavior column.
+// score_kernel.h - The one scoring path: phi for a whole suspect block
+// against one chip's bit-packed behavior column, and the per-pattern loop
+// that feeds it.
 //
 // The scalar reference is phi() in error_fn.h: per suspect, a product over
 // primary outputs k of (b_k ? s_k : 1 - s_k).  The kernel evaluates
@@ -16,16 +17,24 @@
 // pipeline fed - the multiply latency of one chain hides behind the other
 // seven - without reassociating any suspect's own product.
 //
-// The kernel performs no per-call contract scan and no per-suspect counter
-// update: columns are validated once at cache-ingest time (see
-// signature_matrix.h) and the diagnoser batches diag.phi_evals per pattern
-// via note_phi_evals().
+// score_suspects() is the only caller of phi_block: the Diagnoser (columns
+// from a SignatureCache) and the store engine (columns out of the mapped
+// store) both score through it, each supplying only a ColumnSource.  Per
+// pattern it gathers the columns of the suspects the pattern can observe
+// plus one baseline lane that every other suspect's column equals bit for
+// bit (DESIGN.md section 15), runs one phi_block, and scatters the lanes
+// into each suspect's ScoreAccumulator in pattern order.  The kernel
+// performs no per-call contract scan and no per-suspect counter update:
+// columns are validated once when they are built or stored, and
+// diag.phi_evals is batched per pattern via note_phi_evals().
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "diagnosis/behavior.h"
+#include "diagnosis/diagnoser.h"
 #include "obs/metrics.h"
 
 namespace sddd::diagnosis {
@@ -60,13 +69,35 @@ inline constexpr std::size_t kKernelLanes = 8;
 void phi_block(const double* const* cols, std::size_t n_cols,
                std::size_t n_outputs, const PackedBColumn& b, double* out);
 
-/// diag.kernel.* accounting, batched per pattern by the kernel scoring
-/// path: one pattern evaluated over `n_suspects` cached columns.
-void note_kernel_pattern(std::size_t n_suspects);
+/// One pattern's kernel input, reused across patterns.
+struct PatternLanes {
+  /// Columns of the suspects the pattern can observe, in suspect order.
+  std::vector<const double*> cols;
+  /// Per suspect position: 1 when it has its own entry in `cols`.
+  std::vector<char> observable;
+};
 
-/// Wall-time split of the kernel scoring path (both are sub-spans of
-/// diag.score_ns): cached-column acquisition vs packed phi evaluation.
-obs::Counter& kernel_build_ns_counter();
-obs::Counter& kernel_phi_ns_counter();
+/// Where score_suspects() reads dictionary columns from.
+class ColumnSource {
+ public:
+  virtual ~ColumnSource() = default;
+
+  /// For pattern j: appends to lanes.cols the column of every suspect the
+  /// pattern can observe (in suspect order), sets lanes.observable[s] for
+  /// each suspect position, and returns the baseline column every other
+  /// suspect's column equals bit for bit (the M column under E matching,
+  /// zeros under S matching).  lanes.cols arrives empty and
+  /// lanes.observable sized to suspects.size().
+  virtual const double* gather(std::size_t j,
+                               std::span<const netlist::ArcId> suspects,
+                               PatternLanes& lanes) const = 0;
+};
+
+/// Algorithm E.1 steps 5-8 for one chip: scores every suspect of
+/// `result.suspects` under every method of `result.methods` from the
+/// columns `source` supplies for each of B's patterns, filling
+/// result.scores, result.keys and, with `capture_phi`, result.phi.
+void score_suspects(const ColumnSource& source, const BehaviorMatrix& B,
+                    bool capture_phi, DiagnosisResult& result);
 
 }  // namespace sddd::diagnosis

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <new>
+#include <optional>
 
 #include "obs/codec.h"
 #include "obs/metrics.h"
@@ -26,6 +27,14 @@ obs::Counter& sig_cache_misses_counter() {
 obs::Counter& sig_cache_bytes_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::instance().register_counter("dict.sig_cache.bytes");
+  return c;
+}
+
+// Wall time spent building what the cache lacked (pattern slices and
+// columns); the rest of diag.score_ns is lookup and packed phi.
+obs::Counter& sig_cache_build_ns_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::instance().register_counter("diag.kernel.build_ns");
   return c;
 }
 
@@ -107,83 +116,62 @@ SignatureCache::Entry& SignatureCache::entry_for(
   return *bucket.back();
 }
 
-const SignatureCache::CollapseSlice& SignatureCache::collapse_slice(
-    const logicsim::PatternPair& pattern) const {
+const double* SignatureCache::gather(const logicsim::PatternPair& pattern,
+                                     std::span<const netlist::ArcId> suspects,
+                                     PatternLanes& lanes) const {
   Entry& entry = entry_for(pattern);
   const std::lock_guard<std::mutex> lock(entry.mu);
-  if (entry.collapse == nullptr) {
-    // One transient PatternSlice: its ternary transition graph yields the
-    // active-arc flags, its baseline error vector the column every
-    // inactive suspect's E column equals (dynamic_sim falls back to
-    // error_vector_into when the arc is off every active path).  Under S
-    // matching that shared column is exactly zero: S = max(M - M, 0).
-    const PatternSlice slice(*sim_, *logic_sim_, *lev_, pattern, clk_);
-    auto cs = std::make_unique<CollapseSlice>();
+
+  // At most one PatternSlice per call, built on first need: it yields the
+  // active-arc flags and baseline column of a new pattern as well as every
+  // column this call is missing.  It lives only for this scope - the cache
+  // keeps just the |O|-double columns.
+  std::optional<PatternSlice> slice;
+  std::uint64_t build_t0 = 0;
+  const auto built_slice = [&]() -> const PatternSlice& {
+    if (!slice) {
+      build_t0 = obs::now_ns();
+      slice.emplace(*sim_, *logic_sim_, *lev_, pattern, clk_);
+    }
+    return *slice;
+  };
+  if (entry.active.empty()) {
+    // Under S matching the shared column is exactly zero: S = max(M - M, 0).
+    const PatternSlice& sl = built_slice();
     const auto& nl = logic_sim_->netlist();
-    cs->active.resize(nl.arc_count());
+    entry.active.resize(nl.arc_count());
     for (netlist::ArcId a = 0; a < nl.arc_count(); ++a) {
-      cs->active[a] = slice.transition_graph().is_active(a) ? 1 : 0;
+      entry.active[a] = sl.transition_graph().is_active(a) ? 1 : 0;
     }
     if (match_e_) {
-      cs->baseline = slice.m_column();
+      entry.baseline = sl.m_column();
     } else {
-      cs->baseline.assign(slice.m_column().size(), 0.0);
+      entry.baseline.assign(sl.m_column().size(), 0.0);
     }
-    n_outputs_.store(cs->baseline.size(), std::memory_order_release);
-    entry.collapse = std::move(cs);
+    n_outputs_.store(entry.baseline.size(), std::memory_order_release);
   }
-  return *entry.collapse;
-}
 
-void SignatureCache::columns(const logicsim::PatternPair& pattern,
-                             std::span<const netlist::ArcId> suspects,
-                             std::vector<const double*>& out) const {
-  Entry& entry = entry_for(pattern);
-  out.resize(suspects.size());
-  const std::lock_guard<std::mutex> lock(entry.mu);
-
-  // First pass: serve what is already built, collect the rest.
-  std::vector<std::size_t> missing;
-  std::uint64_t hits = 0;
-  for (std::size_t i = 0; i < suspects.size(); ++i) {
-    const auto it = entry.index.find(suspects[i]);
-    if (it != entry.index.end()) {
-      out[i] = entry.cols[it->second].get();
-      ++hits;
-    } else {
-      out[i] = nullptr;
-      missing.push_back(i);
-    }
-  }
-  if (hits != 0) {
-    hits_.fetch_add(hits, std::memory_order_relaxed);
-    sig_cache_hits_counter().add(hits);
-  }
-  if (missing.empty()) return;
-
-  // Build the missing columns through the same validated dictionary path
-  // the scalar diagnoser uses; the slice (baseline arrival matrix) lives
-  // only for this scope - the cache keeps just the |O|-double columns.
-  const PatternSlice slice(*sim_, *logic_sim_, *lev_, pattern, clk_);
   std::vector<double> scratch;
+  std::uint64_t hits = 0;
   std::uint64_t built = 0;
   std::uint64_t built_bytes = 0;
-  for (const std::size_t i : missing) {
+  for (std::size_t i = 0; i < suspects.size(); ++i) {
     const netlist::ArcId suspect = suspects[i];
-    // A suspect may repeat within one call; the second occurrence is now
-    // a hit on the column the first one just built.
+    lanes.observable[i] = entry.active[suspect];
+    if (!entry.active[suspect]) continue;
+    // A suspect repeating within one call is a hit on the column its
+    // first occurrence just built.
     const auto it = entry.index.find(suspect);
     if (it != entry.index.end()) {
-      out[i] = entry.cols[it->second].get();
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      sig_cache_hits_counter().add(1);
+      lanes.cols.push_back(entry.cols[it->second].get());
+      ++hits;
       continue;
     }
     const std::span<const double> sizes = sizes_for(suspect);
     if (match_e_) {
-      slice.e_column_into(suspect, sizes, scratch);
+      built_slice().e_column_into(suspect, sizes, scratch);
     } else {
-      slice.signature_column_into(suspect, sizes, scratch);
+      built_slice().signature_column_into(suspect, sizes, scratch);
     }
     const std::size_t n = scratch.size();
     Column col(static_cast<double*>(
@@ -191,22 +179,27 @@ void SignatureCache::columns(const logicsim::PatternPair& pattern,
     if (n != 0) std::memcpy(col.get(), scratch.data(), n * sizeof(double));
     entry.index.emplace(suspect, entry.cols.size());
     entry.cols.push_back(std::move(col));
-    out[i] = entry.cols.back().get();
+    lanes.cols.push_back(entry.cols.back().get());
     ++built;
     built_bytes += n * sizeof(double);
-    n_outputs_.store(n, std::memory_order_release);
   }
-  misses_.fetch_add(built, std::memory_order_relaxed);
-  sig_cache_misses_counter().add(built);
-  bytes_.fetch_add(built_bytes, std::memory_order_relaxed);
-  sig_cache_bytes_counter().add(built_bytes);
+  if (hits != 0) {
+    hits_.fetch_add(hits, std::memory_order_relaxed);
+    sig_cache_hits_counter().add(hits);
+  }
   if (built != 0) {
+    misses_.fetch_add(built, std::memory_order_relaxed);
+    sig_cache_misses_counter().add(built);
+    bytes_.fetch_add(built_bytes, std::memory_order_relaxed);
+    sig_cache_bytes_counter().add(built_bytes);
     // One breadcrumb per miss *batch*, not per column: which caller built
     // a shared column is schedule-dependent, so these events are excluded
     // from the deterministic-merge contract (DESIGN.md section 14).
     obs::Recorder::instance().record(obs::EventKind::kCacheMiss, "sig", built,
                                      built_bytes);
   }
+  if (slice) sig_cache_build_ns_counter().add(obs::now_ns() - build_t0);
+  return entry.baseline.data();
 }
 
 SignatureCache::Stats SignatureCache::stats() const {

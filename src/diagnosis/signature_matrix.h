@@ -3,17 +3,16 @@
 //
 // A dictionary column depends only on (pattern, suspect, size model,
 // dictionary delay field, clk, match mode) - never on the chip under
-// diagnosis - yet the scalar diagnose() path re-runs the Monte-Carlo cone
-// simulation behind every column for every chip.  The cache materializes
-// each column exactly once, in a suspect-major SoA layout (one 64-byte-
-// aligned contiguous column of |O| doubles per suspect), and hands the
-// scoring kernel (score_kernel.h) stable pointers; every later chip that
-// shares the (circuit, clk, pattern set) pays only the packed phi
-// evaluation.  Columns are validated once here, at ingest, so the kernel
-// needs no per-evaluation contract scan; coverage under SDDD_CHECK is
-// unchanged because every column still passes through the same
-// check_probability_column / check_signature_column guards as the scalar
-// path - just once per column instead of once per (chip, column).
+// diagnosis - so the cache materializes each column exactly once, in a
+// suspect-major SoA layout (one 64-byte-aligned contiguous column of |O|
+// doubles per suspect), and hands the scoring loop (score_kernel.h)
+// stable pointers; every later chip that shares the (circuit, clk,
+// pattern set) pays only the packed phi evaluation.  Only the columns of
+// suspects a pattern sensitizes are ever built: the rest share the
+// pattern's baseline column.  Columns are validated once here, at ingest,
+// through PatternSlice's check_probability_column /
+// check_signature_column guards, so the kernel needs no per-evaluation
+// contract scan.
 //
 // Keying: patterns are keyed by an FNV-1a fingerprint of their (v1, v2)
 // bits with full equality verification on the stored pattern (collisions
@@ -21,15 +20,15 @@
 // construction - one cache per ExperimentSetup, whose inputs are exactly
 // the fields of the experiment run fingerprint (see DESIGN.md section 12).
 // The defect-size table per suspect is precomputed once (sample(arc, k) is
-// a pure function of (arc, k)), so cached columns are bit-identical to the
-// ones the scalar path rebuilds per chip.
+// a pure function of (arc, k)), so cached columns are bit-identical to
+// PatternSlice::e_column / signature_column.
 //
 // Thread safety: one experiment shares a single cache across its parallel
 // trial workers.  A cache-level mutex guards the pattern map, a per-entry
 // mutex serializes column builds for one pattern (distinct patterns build
 // concurrently), and returned pointers stay valid for the cache's lifetime
 // - columns are never moved or evicted.  The underlying simulator must be
-// prewarm()ed before concurrent use, exactly as for the scalar path.
+// prewarm()ed before concurrent use.
 #pragma once
 
 #include <atomic>
@@ -43,6 +42,7 @@
 
 #include "defect/defect_model.h"
 #include "diagnosis/dictionary.h"
+#include "diagnosis/score_kernel.h"
 #include "logicsim/bitsim.h"
 #include "netlist/levelize.h"
 #include "timing/dynamic_sim.h"
@@ -71,29 +71,20 @@ class SignatureCache {
     return n_outputs_.load(std::memory_order_acquire);
   }
 
-  /// Writes the column pointer of every suspect under `pattern` into
-  /// out[i] (suspect order preserved), building any columns not yet
-  /// cached.  Pointers address contiguous, ingest-validated columns of
+  /// One pattern's column source for score_suspects() (score_kernel.h):
+  /// appends to lanes.cols the column of every suspect `pattern`
+  /// sensitizes (suspect order preserved), building any not yet cached,
+  /// sets lanes.observable per suspect position, and returns the baseline
+  /// column every unsensitized suspect's column provably equals bit for
+  /// bit - the defect-free M column under E matching (dynamic_sim falls
+  /// back to the baseline error vector when the arc is off every active
+  /// path), the exact-zero column under S matching.  A pattern's first
+  /// visit, or a visit that needs new columns, builds one PatternSlice.
+  /// Pointers address contiguous, ingest-validated columns of
   /// output_count() doubles and stay valid for the cache's lifetime.
-  void columns(const logicsim::PatternPair& pattern,
-               std::span<const netlist::ArcId> suspects,
-               std::vector<const double*>& out) const;
-
-  /// Per-pattern equivalence-class collapse support (see
-  /// DiagnoserConfig::collapse_unobservable): which arcs the pattern
-  /// sensitizes at all, plus the baseline column every *unsensitized*
-  /// suspect's column provably equals bit-for-bit (the defect-free M
-  /// column under E matching, the exact-zero column under S matching).
-  struct CollapseSlice {
-    std::vector<char> active;      ///< per arc: on some active path
-    std::vector<double> baseline;  ///< |O| doubles; shared inactive column
-  };
-
-  /// The collapse slice of `pattern`, built on first use (one transient
-  /// PatternSlice, amortized across every chip of the experiment).  The
-  /// reference stays valid for the cache's lifetime.
-  const CollapseSlice& collapse_slice(
-      const logicsim::PatternPair& pattern) const;
+  const double* gather(const logicsim::PatternPair& pattern,
+                       std::span<const netlist::ArcId> suspects,
+                       PatternLanes& lanes) const;
 
   /// Precomputed per-sample defect sizes of one suspect; sizes()[k] ==
   /// size_model.sample(suspect, k).  The span stays valid for the cache's
@@ -121,7 +112,8 @@ class SignatureCache {
     std::mutex mu;
     std::unordered_map<netlist::ArcId, std::size_t> index;
     std::deque<Column> cols;  ///< deque: growth never moves a column
-    std::unique_ptr<CollapseSlice> collapse;  ///< lazily built, never moved
+    std::vector<char> active;      ///< per arc: on some active path
+    std::vector<double> baseline;  ///< |O| doubles; built with `active`
   };
 
   Entry& entry_for(const logicsim::PatternPair& pattern) const;

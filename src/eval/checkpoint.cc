@@ -91,10 +91,9 @@ bool parse_trial_status(std::string_view name, TrialStatus* out) {
 std::uint64_t experiment_fingerprint(const std::string& circuit_name,
                                      const ExperimentConfig& c) {
   // Serialize every knob that changes per-trial outcomes; hash the text.
-  // Timings, checkpoint/resume/deadline knobs - and use_score_kernel /
-  // collapse_unobservable, whose paths produce bit-identical results -
-  // are deliberately excluded: they change how a run executes, not what
-  // it computes.
+  // Timings and checkpoint/resume/deadline knobs are deliberately
+  // excluded: they change how a run executes, not what it computes.  So
+  // are the ignored use_score_kernel / collapse_unobservable fields.
   std::ostringstream os;
   os << circuit_name << '|' << c.seed << '|' << c.n_chips << '|'
      << c.mc_samples << '|' << c.instance_samples << '|'

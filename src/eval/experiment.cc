@@ -221,9 +221,8 @@ struct ExperimentSetup {
   // Detectability window for the injection gate (kDetectable).
   double detect_lo = 0.0;
   double detect_hi = 0.0;
-  // Shared suspect-column cache for the kernel scoring path.  Constructed
-  // unconditionally (it is empty and costs nothing until the first
-  // column); wired into the diagnoser only when config.use_score_kernel.
+  // Shared suspect-column cache every diagnosis of the experiment scores
+  // through (it is empty and costs nothing until the first column).
   // Keyed by construction: its inputs are pure functions of
   // (netlist, config), exactly what experiment_fingerprint() covers.
   std::optional<diagnosis::SignatureCache> sig_cache;
@@ -442,8 +441,7 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
   diagnosis::DiagnoserConfig diag_config;
   diag_config.max_suspects = config.max_suspects;
   diag_config.match_on_total_probability = !config.match_on_signature;
-  diag_config.collapse_unobservable = config.collapse_unobservable;
-  if (config.use_score_kernel) diag_config.cache = &*S.sig_cache;
+  diag_config.cache = &*S.sig_cache;
   const Diagnoser diagnoser(S.dict_sim, S.logic_sim, S.lev, S.size_model,
                             diag_config);
   const diagnosis::LogicBaselineDiagnoser logic_baseline(S.logic_sim, S.lev);
@@ -629,8 +627,8 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
       snap_start, snap_end, "diag.score_ns");
   ph.score_column_build_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
       snap_start, snap_end, "diag.kernel.build_ns");
-  ph.score_phi_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
-      snap_start, snap_end, "diag.kernel.phi_ns");
+  ph.score_phi_cpu_seconds =
+      ph.score_cpu_seconds - ph.score_column_build_cpu_seconds;
   ph.sig_cache_hits = obs::MetricsSnapshot::counter_delta(
       snap_start, snap_end, "dict.sig_cache.hits");
   ph.sig_cache_misses = obs::MetricsSnapshot::counter_delta(
@@ -668,15 +666,13 @@ introspect::ExplanationReport explain_trial(const Netlist& nl,
   diagnosis::DiagnoserConfig diag_config;
   diag_config.max_suspects = config.max_suspects;
   diag_config.match_on_total_probability = !config.match_on_signature;
-  diag_config.collapse_unobservable = config.collapse_unobservable;
   diag_config.capture_phi = true;
-  if (config.use_score_kernel) diag_config.cache = &*S.sig_cache;
+  diag_config.cache = &*S.sig_cache;
   const Diagnoser diagnoser(S.dict_sim, S.logic_sim, S.lev, S.size_model,
                             diag_config);
-  // Unlike the experiment loop (where trials are the outer parallel level
-  // and the suspect loop serializes beneath them), here the suspect loop
-  // IS the top parallel level, so the lazily-memoized delay rows must be
-  // materialized up front.
+  // Trials run one at a time here, with no parallel trial loop to
+  // amortize over, so the lazily-memoized delay rows are materialized up
+  // front in one parallel sweep instead of one by one while scoring.
   S.dict_sim.prewarm();
 
   std::vector<std::size_t> trials_to_try;

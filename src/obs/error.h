@@ -15,7 +15,7 @@
 //
 //   code       meaning                                   typical thrower
 //   ---------  ----------------------------------------  -----------------
-//   parse      malformed input text (netlist, CSV)       bench_io, dictionary_io
+//   parse      malformed input text (netlist, fault spec) bench_io, verilog_io
 //   model      invalid model/config for the requested op experiment setup
 //   numeric    non-finite or out-of-domain value          delay materialization
 //   io         file open/write/rename/fsync failure       atomic_file, checkpoint

@@ -23,7 +23,7 @@
 // Tracer::instance().enable() directly.
 //
 // Span names are static strings, dot-namespaced by subsystem
-// ("dict.slice", "diag.pattern", "pool.run", "exp.trial", ...; catalog in
+// ("dict.slice", "diag.score", "pool.run", "exp.trial", ...; catalog in
 // DESIGN.md section 9).  Up to 4 args per span carry identifying context
 // (circuit, suspect id, pattern index).
 #pragma once

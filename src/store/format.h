@@ -7,7 +7,7 @@
 // feasibility question made concrete).  The file is designed to be
 // memory-mapped read-only and fed straight into the packed score kernel:
 // every probability section is a 64-byte-aligned array of raw IEEE-754
-// doubles in exactly the layout phi_block() wants to walk.
+// doubles in exactly the layout phi_block wants to walk.
 //
 //   offset 0
 //   +--------------------------------------------------------------+

@@ -7,8 +7,6 @@
 #include "diagnosis/error_fn.h"
 #include "diagnosis/score_kernel.h"
 #include "obs/error.h"
-#include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "runtime/cancel.h"
 #include "runtime/parallel_for.h"
 
@@ -17,20 +15,8 @@ namespace sddd::store {
 using diagnosis::Method;
 using netlist::ArcId;
 
-namespace {
-
-// The diagnoser's own suspect tally; store-served diagnoses account into
-// the same counter so ledgers stay comparable across transports.
-obs::Counter& diag_suspects_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().register_counter("diag.suspects");
-  return c;
-}
-
-}  // namespace
-
 StoreQueryEngine::StoreQueryEngine(const DictionaryStore& store)
-    : store_(&store) {
+    : store_(&store), zeros_(store.n_outputs(), 0.0) {
   const std::size_t words = store.arc_words();
   mask_.assign(store.n_patterns() * words, 0);
   for (std::size_t j = 0; j < store.n_patterns(); ++j) {
@@ -61,20 +47,42 @@ std::vector<ArcId> StoreQueryEngine::extract_suspects(
       }
     }
   }
-  std::vector<ArcId> suspects;
-  for (ArcId a = 0; a < n_arcs; ++a) {
-    if (support[a] > 0) suspects.push_back(a);
-  }
-  const std::size_t max_suspects = st.max_suspects();
-  if (max_suspects > 0 && suspects.size() > max_suspects) {
-    std::stable_sort(suspects.begin(), suspects.end(),
-                     [&](ArcId a, ArcId b) { return support[a] > support[b]; });
-    suspects.resize(max_suspects);
-    std::sort(suspects.begin(), suspects.end());
-  }
-  diag_suspects_counter().add(suspects.size());
-  return suspects;
+  return diagnosis::select_suspects(
+      std::span<const std::uint32_t>(support).first(n_arcs),
+      st.max_suspects());
 }
+
+namespace {
+
+/// The engine's column source: pointers into the mapping, the activity
+/// mask choosing which suspects get their own lane.
+class StoreColumns final : public diagnosis::ColumnSource {
+ public:
+  StoreColumns(const StoreQueryEngine& engine, bool match_e,
+               const double* zeros)
+      : engine_(&engine), match_e_(match_e), zeros_(zeros) {}
+
+  const double* gather(std::size_t j, std::span<const ArcId> suspects,
+                       diagnosis::PatternLanes& lanes) const override {
+    const DictionaryStore& st = engine_->store();
+    for (std::size_t s = 0; s < suspects.size(); ++s) {
+      const bool seen = engine_->observable(j, suspects[s]);
+      lanes.observable[s] = seen ? 1 : 0;
+      if (seen) {
+        lanes.cols.push_back(match_e_ ? st.e_column(j, suspects[s])
+                                      : st.s_column(j, suspects[s]));
+      }
+    }
+    return match_e_ ? st.m_column(j) : zeros_;
+  }
+
+ private:
+  const StoreQueryEngine* engine_;
+  bool match_e_;
+  const double* zeros_;
+};
+
+}  // namespace
 
 diagnosis::DiagnosisResult StoreQueryEngine::diagnose(
     const diagnosis::BehaviorMatrix& B, std::span<const Method> methods,
@@ -93,74 +101,9 @@ diagnosis::DiagnosisResult StoreQueryEngine::diagnose(
   result.methods.assign(methods.begin(), methods.end());
   result.suspects = extract_suspects(B);
   result.mc_samples = st.mc_samples();
-
-  const std::size_t n_suspects = result.suspects.size();
-  const std::size_t n_patterns = st.n_patterns();
-  const std::size_t n_outputs = st.n_outputs();
-  if (capture_phi) {
-    result.phi.assign(n_suspects, std::vector<double>(n_patterns, 0.0));
-  }
-  std::vector<diagnosis::ScoreAccumulator> acc(n_suspects);
-
-  // The diagnoser's collapsed kernel loop, with the cache lookups replaced
-  // by pointers into the mapping: per pattern, pack B's column, gather the
-  // columns of the suspects the pattern observes plus one baseline lane
-  // (m_column, or zeros in S mode) shared by all the others, and run one
-  // phi_block over them.  phi_block lanes are independent and an
-  // unobservable suspect's stored column is bit-equal to the baseline, so
-  // every suspect gets the phi the uncollapsed loop would compute, and
-  // add_phi runs in pattern order - scores and keys are bit-identical.
-  const std::vector<double> zeros(match_on_total_probability ? 0 : n_outputs,
-                                  0.0);
-  std::vector<const double*> cols;
-  std::vector<double> phi_lanes;
-  diagnosis::PackedBColumn b;
-  for (std::size_t j = 0; j < n_patterns; ++j) {
-    cols.clear();
-    for (const ArcId a : result.suspects) {
-      if (!observable(j, a)) continue;
-      cols.push_back(match_on_total_probability ? st.e_column(j, a)
-                                                : st.s_column(j, a));
-    }
-    const std::size_t n_active = cols.size();
-    const bool any_inactive = n_active < n_suspects;
-    if (any_inactive) {
-      cols.push_back(match_on_total_probability ? st.m_column(j)
-                                                : zeros.data());
-    }
-    b.pack(B, j);
-    phi_lanes.resize(cols.size());
-    diagnosis::phi_block(cols.data(), cols.size(), n_outputs, b,
-                         phi_lanes.data());
-    // Scatter: each observable suspect its own lane, every other one the
-    // shared lane, whose accumulator terms are computed once.
-    const double shared = any_inactive ? phi_lanes[n_active] : 0.0;
-    const diagnosis::ScoreAccumulator::Terms shared_terms(shared);
-    for (std::size_t s = 0, k = 0; s < n_suspects; ++s) {
-      if (observable(j, result.suspects[s])) {
-        if (capture_phi) result.phi[s][j] = phi_lanes[k];
-        acc[s].add_phi(phi_lanes[k++]);
-      } else {
-        if (capture_phi) result.phi[s][j] = shared;
-        acc[s].add(shared_terms);
-      }
-    }
-    diagnosis::note_phi_evals(cols.size());
-    diagnosis::note_kernel_pattern(n_active);
-  }
-
-  result.scores.resize(methods.size());
-  result.keys.resize(methods.size());
-  for (std::size_t m = 0; m < methods.size(); ++m) {
-    result.scores[m].resize(n_suspects);
-    result.keys[m].resize(n_suspects);
-    for (std::size_t s = 0; s < n_suspects; ++s) {
-      result.scores[m][s] = acc[s].finish(methods[m], n_patterns);
-      result.keys[m][s] = acc[s].ranking_key(methods[m], n_patterns);
-    }
-  }
-  obs::Recorder::instance().record(obs::EventKind::kDiagnose, "",
-                                   B.failure_count(), n_suspects, n_patterns);
+  diagnosis::score_suspects(
+      StoreColumns(*this, match_on_total_probability, zeros_.data()), B,
+      capture_phi, result);
   return result;
 }
 

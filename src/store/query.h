@@ -2,27 +2,25 @@
 //
 // StoreQueryEngine is the Diagnoser's scoring path re-rooted onto
 // DictionaryStore: suspect extraction walks the stored per-(pattern,
-// output) cone bitsets with the diagnoser's exact support/cap algorithm,
-// and scoring feeds the stored E (or S) columns through the same packed
-// phi_block() kernel into the same ScoreAccumulators in the same pattern
-// order.  Because the store's columns were produced by the identical
-// PatternSlice code paths and are raw doubles, the engine's scores, keys,
-// ranks and captured phi are BIT-IDENTICAL to an in-process
-// Diagnoser::diagnose() over a freshly built dictionary at the store's
-// config - the byte-identity contract ci.sh enforces end to end through
-// the serve path.
+// output) cone bitsets and applies the Diagnoser's select_suspects()
+// support/cap policy, and scoring runs the one scoring loop,
+// score_suspects() (score_kernel.h), over the stored E (or S) columns.
+// Because the store's columns were produced by the identical PatternSlice
+// code paths and are raw doubles, the engine's scores, keys, ranks and
+// captured phi are BIT-IDENTICAL to an in-process Diagnoser::diagnose()
+// over a freshly built dictionary at the store's config - the
+// byte-identity contract ci.sh enforces end to end through the serve
+// path.
 //
 // Scoring reads only what each pattern can observe.  At construction the
 // engine ORs every pattern's stored cone rows into a per-pattern activity
 // mask (n_patterns x arc_words bits): an arc outside pattern j's mask lies
 // on no active path to any output, so its stored E column is bit-equal to
 // m_column(j) and its S column is all +0.0 (DESIGN.md section 15 gives the
-// proof; tests/test_store.cc checks it column by column).  Per pattern,
-// suspects inside the mask get their own phi_block lane and every other
-// suspect shares one lane over the baseline column - the Diagnoser's
-// collapse_unobservable, with the mask in place of the transition graph.
-// The phi values are the ones the uncollapsed loop computes, so the
-// contract above is unaffected.
+// proof; tests/test_store.cc checks it column by column).  The mask is the
+// engine's ColumnSource: suspects inside it get their own phi_block lane
+// and every other suspect shares the baseline lane - what the Diagnoser's
+// SignatureCache does with the transition graph in place of the mask.
 //
 // diagnose_batch_json() is the single response renderer: `sddd_cli dict
 // query` (in-process) and the serve loop both emit its bytes verbatim, so
@@ -50,7 +48,7 @@ class StoreQueryEngine {
   const DictionaryStore& store() const { return *store_; }
 
   /// Algorithm E.1 step 1 from the stored cone bitsets; identical suspect
-  /// sets (same support counts, same max_suspects cap policy) as
+  /// sets (same support counts, same select_suspects() cap) as
   /// Diagnoser::extract_suspects.
   std::vector<netlist::ArcId> extract_suspects(
       const diagnosis::BehaviorMatrix& B) const;
@@ -75,6 +73,7 @@ class StoreQueryEngine {
  private:
   const DictionaryStore* store_;
   std::vector<std::uint64_t> mask_;  ///< n_patterns x arc_words
+  std::vector<double> zeros_;        ///< the S-mode baseline column
 };
 
 /// One chip of a batch request.

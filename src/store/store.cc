@@ -119,6 +119,18 @@ std::uint64_t fnv1a(const unsigned char* p, std::uint64_t n) {
   return obs::Fnv1a64(obs::kArtifactFnvBasis).bytes(p, n).value();
 }
 
+/// crcs[s] = FNV-1a of the first `n` sections of `image`, one section per
+/// task (e and s dominate).  The build and the open both checksum through
+/// it.
+void section_checksums(const unsigned char* image,
+                       const std::uint64_t* offsets,
+                       const std::uint64_t* bytes, std::size_t n,
+                       std::uint64_t* crcs) {
+  runtime::parallel_for(n, [&](std::size_t s) {
+    crcs[s] = fnv1a(image + offsets[s], bytes[s]);
+  });
+}
+
 std::uint64_t padded_to(std::uint64_t offset, std::uint64_t align) {
   return (offset + align - 1) / align * align;
 }
@@ -375,13 +387,9 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
         });
   }
 
-  // Section checksums, one section per task (e and s dominate).
   std::uint64_t crcs[kStoreSectionCount];
-  runtime::parallel_for(kStoreSectionCount, [&](std::size_t s) {
-    crcs[s] = fnv1a(reinterpret_cast<const unsigned char*>(out.data()) +
-                        offsets[s],
-                    section_bytes[s]);
-  });
+  section_checksums(reinterpret_cast<const unsigned char*>(out.data()),
+                    offsets, section_bytes, kStoreSectionCount, crcs);
 
   const std::uint64_t fingerprint = store_fingerprint(nl, config, stack);
   std::string header;
@@ -592,6 +600,27 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
                                  std::to_string(file_bytes_));
   }
 
+  // Names and extents are validated first, so the sections before the
+  // first ill-framed one can be hashed in parallel; the comparisons then
+  // run serially in file order, so which error a damaged file reports and
+  // the store.crc ordinals are those of a one-section-at-a-time sweep.
+  const auto framed = [&](std::size_t s) {
+    const StoreSectionInfo& sec = sections_[s];
+    return sec.name == kStoreSectionNames[s] &&
+           sec.offset % kStoreSectionAlign == 0 &&
+           sec.offset + sec.bytes <= map_bytes_;
+  };
+  std::size_t n_framed = 0;
+  while (n_framed < sections_.size() && framed(n_framed)) ++n_framed;
+  std::uint64_t offsets[kStoreSectionCount];
+  std::uint64_t bytes[kStoreSectionCount];
+  std::uint64_t crcs[kStoreSectionCount];
+  for (std::size_t s = 0; s < n_framed; ++s) {
+    offsets[s] = sections_[s].offset;
+    bytes[s] = sections_[s].bytes;
+  }
+  section_checksums(map_, offsets, bytes, n_framed, crcs);
+
   for (std::size_t s = 0; s < sections_.size(); ++s) {
     const StoreSectionInfo& sec = sections_[s];
     if (sec.name != kStoreSectionNames[s]) {
@@ -607,7 +636,7 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
                                      std::to_string(sec.bytes) + ")");
     }
     const std::uint64_t k = g_crc_ordinal.fetch_add(1);
-    std::uint64_t crc = fnv1a(map_ + sec.offset, sec.bytes);
+    std::uint64_t crc = crcs[s];
     if (obs::fault_at("store.crc", k)) crc ^= 1;  // forged mismatch
     if (crc != sec.crc) {
       throw StoreError(sec.name,

@@ -1,6 +1,7 @@
 // Unit tests for path machinery: path validity, transition graphs
 // (toggles, active arcs, min/max rules), cones, path enumeration and
-// heaviest-path selection.
+// heaviest-path selection, plus an exhaustive brute-force check of the
+// transition graph on c17 (all 1024 pattern pairs).
 #include <gtest/gtest.h>
 
 #include "logicsim/bitsim.h"
@@ -317,6 +318,67 @@ TEST(SuspectArcs, UnionOfConesMatchesManualCheck) {
   EXPECT_TRUE(suspects[c.nl.arc_of(c.g1, 0)]);
   EXPECT_TRUE(suspects[c.nl.arc_of(c.g2, 0)]);
   EXPECT_FALSE(suspects[c.nl.arc_of(c.g1, 1)]);
+}
+
+// ---------------------------------------------------------------------------
+// Exhaustive verification on c17: for every one of the 32x32 pattern
+// pairs, the transition graph's claims are checked against brute force.
+TEST(ExhaustiveC17, TransitionGraphMatchesBruteForce) {
+  const auto nl = netlist::parse_bench_string(netlist::c17_bench_text(), "c17");
+  const Levelization lev(nl);
+  const BitSimulator sim(nl, lev);
+
+  std::size_t active_arcs_total = 0;
+  for (unsigned m1 = 0; m1 < 32; ++m1) {
+    for (unsigned m2 = 0; m2 < 32; ++m2) {
+      PatternPair pp;
+      pp.v1.resize(5);
+      pp.v2.resize(5);
+      for (unsigned i = 0; i < 5; ++i) {
+        pp.v1[i] = (m1 >> i) & 1;
+        pp.v2[i] = (m2 >> i) & 1;
+      }
+      const paths::TransitionGraph tg(sim, lev, pp);
+      const auto val1 = sim.simulate_single(pp.v1);
+      const auto val2 = sim.simulate_single(pp.v2);
+      for (GateId g = 0; g < nl.gate_count(); ++g) {
+        // 1. toggles() is exactly the value change.
+        ASSERT_EQ(tg.toggles(g), val1[g] != val2[g]);
+        ASSERT_EQ(tg.initial_value(g), val1[g]);
+        ASSERT_EQ(tg.final_value(g), val2[g]);
+        if (!tg.toggles(g) || !is_combinational(nl.gate(g).type)) continue;
+        // 2. Active fanins are toggling, and the min-rule applies exactly
+        //    when some input settles at the controlling value (NAND: 0).
+        const auto& act = tg.active_fanins(g);
+        ASSERT_FALSE(act.empty());
+        bool some_ctrl = false;
+        for (const GateId f : nl.gate(g).fanins) some_ctrl |= !val2[f];
+        ASSERT_EQ(tg.rule(g) == paths::ArrivalRule::kMinOverActive,
+                  some_ctrl);
+        for (const auto a : act) {
+          const auto& arc = nl.arc(a);
+          const GateId f = nl.gate(arc.gate).fanins[arc.pin];
+          ASSERT_TRUE(tg.toggles(f));
+          if (some_ctrl) {
+            // Min rule: active inputs toggled TO the controlling value.
+            ASSERT_FALSE(val2[f]);
+            ASSERT_TRUE(val1[f]);
+          }
+          ++active_arcs_total;
+        }
+      }
+      // 3. Every active path enumerated ends at the output and uses only
+      //    active arcs (spot check when an output toggles).
+      for (const GateId o : nl.outputs()) {
+        if (!tg.toggles(o)) continue;
+        for (const auto& path : paths::enumerate_active_paths(tg, o, 16)) {
+          ASSERT_TRUE(paths::is_valid_path(nl, path));
+          for (const auto a : path.arcs) ASSERT_TRUE(tg.is_active(a));
+        }
+      }
+    }
+  }
+  EXPECT_GT(active_arcs_total, 1000u);  // the sweep exercised real activity
 }
 
 }  // namespace

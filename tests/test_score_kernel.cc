@@ -1,10 +1,12 @@
-// Tests for the packed scoring kernel and the signature-column cache: the
-// kernel's contract is BIT-IDENTITY with the scalar phi()/diagnose() path
-// (score_kernel.h states the argument; these tests enforce it), so every
-// floating-point comparison here is exact equality, never a tolerance.
+// Tests for the packed scoring kernel, the one scoring loop and the
+// signature-column cache: their contract is BIT-IDENTITY with the scalar
+// phi() and the scalar reference scorer of score_oracle.h (score_kernel.h
+// states the argument; these tests enforce it), so every floating-point
+// comparison here is exact equality, never a tolerance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "timing/delay_field.h"
 #include "timing/delay_model.h"
 #include "timing/dynamic_sim.h"
+#include "score_oracle.h"
 
 namespace sddd::diagnosis {
 namespace {
@@ -123,7 +126,7 @@ TEST(PhiBlock, AllZeroColumnsAndEmptyPatternSet) {
   for (const double v : out) EXPECT_EQ(v, 1.0);
 }
 
-// --- Full-stack: cached kernel diagnose() vs the scalar reference --------
+// --- Full-stack: diagnose() vs the scalar oracle -------------------------
 
 struct KernelFixture {
   Netlist nl;
@@ -159,8 +162,11 @@ struct KernelFixture {
         dict_sim(dict_field, lev),
         inst_sim(inst_field, lev),
         size_model(model.mean_cell_delay(), 0.5, 1.0, 0.5, 1003) {
+    // 16 patterns, not fewer: with 8, the only pattern reaching clk
+    // sensitizes every suspect, so no collapsed suspect ever shares a
+    // baseline other than all-zero and a wrong shared lane goes unseen.
     stats::Rng rng(1004);
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 0; i < 16; ++i) {
       patterns.push_back(atpg::random_pattern_pair(nl.inputs().size(), rng));
     }
     stats::SampleVector delta(dict_field.sample_count(), 0.0);
@@ -191,21 +197,38 @@ struct KernelFixture {
     return BehaviorMatrix(nl.outputs().size(), patterns.size());
   }
 
+  /// The product path; a null cache scores through a call-local one.
   DiagnosisResult diagnose(const BehaviorMatrix& B,
-                           const SignatureCache* cache) const {
+                           const SignatureCache* cache, bool match_e = true,
+                           bool capture_phi = true,
+                           std::size_t max_suspects = 0) const {
     DiagnoserConfig config;
-    config.capture_phi = true;
+    config.capture_phi = capture_phi;
+    config.match_on_total_probability = match_e;
+    config.max_suspects = max_suspects;
     config.cache = cache;
     const Diagnoser d(dict_sim, sim, lev, size_model, config);
     return d.diagnose(patterns, B, methods, clk);
   }
+
+  DiagnosisResult oracle(const BehaviorMatrix& B, bool match_e = true,
+                         std::size_t max_suspects = 0) const {
+    return test::oracle_diagnose(dict_sim, sim, lev, size_model, patterns, B,
+                                 methods, clk, match_e, max_suspects);
+  }
 };
 
-void expect_identical(const DiagnosisResult& a, const DiagnosisResult& b) {
+/// Without `b_captured_phi`, b's phi matrix must be empty instead.
+void expect_identical(const DiagnosisResult& a, const DiagnosisResult& b,
+                      bool b_captured_phi = true) {
   EXPECT_EQ(a.suspects, b.suspects);
   EXPECT_EQ(a.scores, b.scores);  // exact: bit-identity is the contract
   EXPECT_EQ(a.keys, b.keys);
-  EXPECT_EQ(a.phi, b.phi);
+  if (b_captured_phi) {
+    EXPECT_EQ(a.phi, b.phi);
+  } else {
+    EXPECT_TRUE(b.phi.empty());
+  }
   for (const Method m : a.methods) {
     const auto ra = a.ranked(m);
     const auto rb = b.ranked(m);
@@ -223,7 +246,9 @@ TEST(SignatureCache, KernelPathBitIdenticalToScalar) {
                              /*match_on_total_probability=*/true);
   const ArcId arc = static_cast<ArcId>(f.nl.arc_count() / 2);
   const auto B = f.failing_chip(arc, 0);
-  expect_identical(f.diagnose(B, nullptr), f.diagnose(B, &cache));
+  const auto oracle = f.oracle(B);
+  expect_identical(oracle, f.diagnose(B, &cache));
+  expect_identical(oracle, f.diagnose(B, nullptr));  // call-local cache
 }
 
 TEST(SignatureCache, ColumnsReusedAcrossChips) {
@@ -248,9 +273,9 @@ TEST(SignatureCache, ColumnsReusedAcrossChips) {
   EXPECT_GT(after_second.hits, after_first.hits);
   expect_identical(first, second);
 
-  // A different chip still scores bit-identically to its own scalar run.
+  // A different chip still scores bit-identically to its own oracle run.
   const auto B2 = f.failing_chip(static_cast<ArcId>(f.nl.arc_count() / 5), 1);
-  expect_identical(f.diagnose(B2, nullptr), f.diagnose(B2, &cache));
+  expect_identical(f.oracle(B2), f.diagnose(B2, &cache));
 }
 
 TEST(SignatureCache, ByteIdenticalAcrossThreadCounts) {
@@ -271,11 +296,12 @@ TEST(SignatureCache, ByteIdenticalAcrossThreadCounts) {
   const auto parallel = f.diagnose(B, &cache4);
 
   expect_identical(serial, parallel);
+  expect_identical(f.oracle(B), parallel);
 }
 
 TEST(SignatureCache, SharedCacheAcrossParallelChips) {
   // The experiment-loop shape: one cache, many chips diagnosed by parallel
-  // workers.  Every chip must score exactly as its own serial scalar run.
+  // workers.  Every chip must score exactly as its own oracle run.
   const ThreadCountGuard guard;
   const KernelFixture f;
   constexpr std::size_t kChips = 4;
@@ -285,7 +311,7 @@ TEST(SignatureCache, SharedCacheAcrossParallelChips) {
     const auto arc =
         static_cast<ArcId>((c + 1) * f.nl.arc_count() / (kChips + 2));
     chips.push_back(f.failing_chip(arc, c));
-    scalar.push_back(f.diagnose(chips.back(), nullptr));
+    scalar.push_back(f.oracle(chips.back()));
   }
 
   runtime::set_thread_count(4);
@@ -307,14 +333,84 @@ TEST(SignatureCache, SignatureMatchModeAlsoBitIdentical) {
                              /*match_on_total_probability=*/false);
   const ArcId arc = static_cast<ArcId>(f.nl.arc_count() / 2);
   const auto B = f.failing_chip(arc, 0);
-  DiagnoserConfig config;
-  config.capture_phi = true;
-  config.match_on_total_probability = false;
-  const Diagnoser scalar(f.dict_sim, f.sim, f.lev, f.size_model, config);
-  config.cache = &cache;
-  const Diagnoser kernel(f.dict_sim, f.sim, f.lev, f.size_model, config);
-  expect_identical(scalar.diagnose(f.patterns, B, f.methods, f.clk),
-                   kernel.diagnose(f.patterns, B, f.methods, f.clk));
+  expect_identical(f.oracle(B, /*match_e=*/false),
+                   f.diagnose(B, &cache, /*match_e=*/false));
+}
+
+// Every combination the product path distinguishes - match mode, phi
+// capture, a binding max_suspects cap - at 1 and 4 threads, against the
+// oracle.
+TEST(SignatureCache, EveryModeMatchesOracleAtAnyThreadCount) {
+  const ThreadCountGuard guard;
+  const KernelFixture f;
+  f.dict_sim.prewarm();
+  const auto B = f.failing_chip(static_cast<ArcId>(f.nl.arc_count() / 2), 3);
+  const std::size_t n_suspects = f.oracle(B).suspects.size();
+  ASSERT_GT(n_suspects, 2U);
+  const std::size_t cap = n_suspects / 2;
+  for (const bool match_e : {true, false}) {
+    const auto full = f.oracle(B, match_e);
+    const auto capped = f.oracle(B, match_e, cap);
+    ASSERT_EQ(capped.suspects.size(), cap);
+    for (const std::size_t threads : {1, 4}) {
+      runtime::set_thread_count(threads);
+      const SignatureCache cache(f.dict_sim, f.sim, f.lev, f.size_model,
+                                 f.clk, match_e);
+      for (const bool capture : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "match_e=" << match_e << " threads=" << threads
+                     << " capture=" << capture);
+        expect_identical(full, f.diagnose(B, &cache, match_e, capture),
+                         capture);
+        expect_identical(capped,
+                         f.diagnose(B, &cache, match_e, capture, cap),
+                         capture);
+        expect_identical(capped,
+                         f.diagnose(B, nullptr, match_e, capture, cap),
+                         capture);
+      }
+    }
+  }
+}
+
+// The exactness condition of the shared lane, column by column: for every
+// arc a pattern does not sensitize, the column PatternSlice builds is bit
+// for bit the baseline gather() returns (M under E matching, +0.0 under S
+// matching); every sensitized arc gets its own column.
+TEST(SignatureCache, UnobservableColumnsEqualTheBaseline) {
+  const KernelFixture f;
+  std::vector<ArcId> arcs(f.nl.arc_count());
+  for (ArcId a = 0; a < arcs.size(); ++a) arcs[a] = a;
+  const auto same_bits = [](const std::vector<double>& col, const double* p) {
+    return std::memcmp(col.data(), p, col.size() * sizeof(double)) == 0;
+  };
+  for (const bool match_e : {true, false}) {
+    const SignatureCache cache(f.dict_sim, f.sim, f.lev, f.size_model, f.clk,
+                               match_e);
+    std::size_t shared = 0;
+    for (const auto& pattern : f.patterns) {
+      PatternLanes lanes;
+      lanes.observable.resize(arcs.size());
+      const double* baseline = cache.gather(pattern, arcs, lanes);
+      const PatternSlice slice(f.dict_sim, f.sim, f.lev, pattern, f.clk);
+      std::size_t k = 0;
+      for (const ArcId a : arcs) {
+        const auto col = match_e ? slice.e_column(a, f.size_model)
+                                 : slice.signature_column(a, f.size_model);
+        const double* expected = baseline;
+        if (lanes.observable[a]) {
+          ASSERT_LT(k, lanes.cols.size());
+          expected = lanes.cols[k++];
+        } else {
+          ++shared;
+        }
+        EXPECT_TRUE(same_bits(col, expected))
+            << "arc " << a << " match_e " << match_e;
+      }
+      EXPECT_EQ(k, lanes.cols.size());
+    }
+    EXPECT_GT(shared, 0U);
+  }
 }
 
 TEST(SignatureCache, MismatchedCacheRejected) {

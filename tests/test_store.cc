@@ -1,9 +1,9 @@
 // Tests for the persistent dictionary store: build determinism, the
-// StoreQueryEngine's bit-identity to an in-process Diagnoser over the
-// same dictionary world in both match modes, the exactness condition of
-// the engine's unobservable-suspect collapse, and the loader's corruption
-// taxonomy (truncated tails, single bit flips, version and fingerprint
-// mismatches) with the offending section named every time.
+// StoreQueryEngine's bit-identity to the scalar oracle (score_oracle.h)
+// over the same dictionary world in both match modes, the exactness
+// condition of the engine's unobservable-suspect collapse, and the
+// loader's corruption taxonomy (truncated tails, single bit flips, version
+// and fingerprint mismatches) with the offending section named every time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 
 #include "defect/defect_model.h"
 #include "diagnosis/behavior.h"
-#include "diagnosis/diagnoser.h"
 #include "logicsim/bitsim.h"
 #include "netlist/levelize.h"
 #include "netlist/synth.h"
@@ -29,6 +28,7 @@
 #include "timing/delay_field.h"
 #include "timing/delay_model.h"
 #include "timing/dynamic_sim.h"
+#include "score_oracle.h"
 #include "test_tmp.h"
 
 namespace sddd {
@@ -113,24 +113,18 @@ TEST(Store, RoundTripMatchesInMemoryDiagnoser) {
       diagnosis::Method::kSimI, diagnosis::Method::kSimII,
       diagnosis::Method::kSimIII, diagnosis::Method::kRev};
   const store::StoreQueryEngine engine(st);
-  // Both match modes, each against the scalar reference Diagnoser (no
-  // signature cache, no collapse) as the oracle.
+  // Both match modes, each against the scalar oracle (score_oracle.h).
   for (const bool match_e : {true, false}) {
-    diagnosis::DiagnoserConfig dcfg;
-    dcfg.max_suspects = config.max_suspects;
-    dcfg.capture_phi = true;
-    dcfg.match_on_total_probability = match_e;
-    const diagnosis::Diagnoser diagnoser(dict_sim, logic_sim, lev, size_model,
-                                         dcfg);
     for (const auto& chip : chips) {
       const auto from_store = engine.diagnose(chip.B, methods, match_e, true);
-      const auto in_memory =
-          diagnoser.diagnose(patterns, chip.B, methods, st.clk());
+      const auto in_memory = test::oracle_diagnose(
+          dict_sim, logic_sim, lev, size_model, patterns, chip.B, methods,
+          st.clk(), match_e, config.max_suspects);
       ASSERT_EQ(from_store.suspects, in_memory.suspects);
       for (std::size_t m = 0; m < methods.size(); ++m) {
         for (std::size_t s = 0; s < from_store.suspects.size(); ++s) {
           // Bit-identical, not approximately equal: the store holds the
-          // raw doubles the Diagnoser would have computed.
+          // raw doubles the oracle simulates afresh.
           EXPECT_EQ(from_store.scores[m][s], in_memory.scores[m][s])
               << "match " << (match_e ? 'e' : 's');
           EXPECT_EQ(from_store.keys[m][s], in_memory.keys[m][s])
@@ -213,6 +207,30 @@ TEST(Store, SingleBitFlipNamesTheSection) {
     const auto report = store::verify_store_file(path.string());
     EXPECT_FALSE(report.ok) << sec.name;
     EXPECT_EQ(report.bad_section, sec.name) << report.message;
+  }
+}
+
+// The open hashes sections in parallel but compares them in file order:
+// with two rotten sections, the earlier one is the one reported, every
+// time.
+TEST(Store, FirstCorruptSectionInFileOrderIsReported) {
+  const auto nl = store_netlist();
+  std::string bytes = store::serialize_dictionary_store(nl, small_config());
+  const auto good_path = test::temp_path("twoflips_good.dict");
+  write_raw(good_path, bytes);
+  const store::DictionaryStore good(good_path.string());
+  const auto& secs = good.sections();
+  ASSERT_EQ(secs.size(), 6u);
+  const auto& first = secs[2];   // m
+  const auto& second = secs[4];  // s
+  bytes[second.offset + second.bytes / 2] ^= 0x01;
+  bytes[first.offset + first.bytes / 2] ^= 0x01;
+  const auto path = test::temp_path("twoflips.dict");
+  write_raw(path, bytes);
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    const auto report = store::verify_store_file(path.string());
+    EXPECT_FALSE(report.ok);
+    EXPECT_EQ(report.bad_section, first.name) << report.message;
   }
 }
 

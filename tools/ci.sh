@@ -12,34 +12,27 @@
 #      phi contributions sum consistently with the reported Sim-II score,
 #      every score sits inside its 95% CI, and the run_id cross-links the
 #      explain report, result JSON, and manifest;
-#   5. scoring-kernel smoke: re-run the same diagnose and explain with
-#      --no-kernel (scalar scoring) and require the result JSON to be
-#      byte-identical to the kernel run's, the explain candidates to agree
-#      rank by rank and phi by phi, and the kernel-enabled run's metrics to
-#      show the diag.kernel.* / dict.sig_cache.* counters actually firing;
-#   6. diagnosability gate: sddd_lint --diagnosability --json on the same
+#   5. diagnosability gate: sddd_lint --diagnosability --json on the same
 #      circuit must emit a well-formed machine-readable report (ambiguity
-#      groups, per-suspect coverage, coverage ratio in [0,1]); then re-run
-#      the diagnose with --collapse and require the result JSON to be
-#      byte-identical while diag.phi_evals strictly drops;
-#   7. crash/resume smoke: SIGKILL a journaled diagnose mid-trials, resume
+#      groups, per-suspect coverage, coverage ratio in [0,1]);
+#   6. crash/resume smoke: SIGKILL a journaled diagnose mid-trials, resume
 #      it, and require the resumed result JSON to be byte-identical to an
 #      uninterrupted run's (at both 1 and 2 threads);
-#   8. fault-injection smoke: SDDD_FAULTS poisons two trials; the run must
+#   7. fault-injection smoke: SDDD_FAULTS poisons two trials; the run must
 #      still exit 0 with exactly those trials quarantined in the metrics;
-#   9. postmortem + ledger/report smoke: a quarantined trial must leave a
+#   8. postmortem + ledger/report smoke: a quarantined trial must leave a
 #      flight-recorder postmortem bundle whose run_id cross-links the run's
 #      manifest; two identical ledgered runs must report "rank stability:
 #      identical" through sddd_cli report (text and JSON);
-#  10. store/serve crash-replay smoke: build a dictionary store twice
+#   9. store/serve crash-replay smoke: build a dictionary store twice
 #      (byte-identical), SIGKILL `sddd_cli serve` mid-batch, restart it on
 #      the same store, replay the batch, and require the socket responses
 #      byte-identical to the in-process dict-query render;
-#  11. store corruption smoke: SDDD_FAULTS=store.crc@... poisons one of two
+#  10. store corruption smoke: SDDD_FAULTS=store.crc@... poisons one of two
 #      stores at open; the server must quarantine it, report degraded
 #      health, keep answering from the healthy store, and drain with
 #      exit 0 on SIGTERM;
-#  12. live observability smoke: serve with metrics + postmortem wired,
+#  11. live observability smoke: serve with metrics + postmortem wired,
 #      fire a concurrent dict-query batch, then assert the stats surface
 #      end to end -- JSON stats carry non-zero per-phase latency
 #      histograms and a trace-id-bearing slow-request ring, the
@@ -48,11 +41,11 @@
 #      serve.store fault quarantines with a postmortem whose event key
 #      matches the client's trace id, and a SIGTERM drain leaves a
 #      complete metrics snapshot on disk;
-#  13. perf sentry gate: the bench-history tooling self-check proves the
+#  12. perf sentry gate: the bench-history tooling self-check proves the
 #      regression gate fires on an injected 2x slowdown (and passes an
 #      unmodified rerun); the real BENCH_history.jsonl, when present, is
 #      then checked warn-free against its own rolling baseline;
-#  14. clang-tidy profile (skipped automatically when not installed).
+#  13. clang-tidy profile (skipped automatically when not installed).
 #
 #   tools/ci.sh [-jN]
 set -euo pipefail
@@ -61,20 +54,20 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:--j$(nproc)}"
 
-echo "== [1/14] tier-1 build + tests =="
+echo "== [1/13] tier-1 build + tests =="
 cmake -B build -S .
 cmake --build build "$JOBS"
 ctest --test-dir build --output-on-failure "$JOBS"
 
-echo "== [2/14] smoke tests under ASan+UBSan =="
+echo "== [2/13] smoke tests under ASan+UBSan =="
 cmake -B build-san -S . -DSDDD_ASAN=ON -DSDDD_UBSAN=ON
 cmake --build build-san "$JOBS"
 ctest --test-dir build-san --output-on-failure -L smoke "$JOBS"
 
-echo "== [3/14] sddd_lint on the ISCAS catalog =="
+echo "== [3/13] sddd_lint on the ISCAS catalog =="
 ./build/tools/sddd_lint --dict --catalog c17 s27
 
-echo "== [4/14] observability smoke (trace + metrics round-trip) =="
+echo "== [4/13] observability smoke (trace + metrics round-trip) =="
 OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR"' EXIT
 ./build/tools/sddd_cli synth "$OBS_DIR/s1196.bench" \
@@ -147,50 +140,7 @@ if [ -f BENCH_history.jsonl ]; then
   python3 tools/append_bench_history.py --check BENCH_history.jsonl
 fi
 
-echo "== [5/14] scoring-kernel smoke (scalar vs kernel, byte-identical) =="
-# The step-4 runs above used the packed scoring kernel (the default).
-# Re-run both with --no-kernel: use_score_kernel is excluded from the
-# experiment fingerprint, so the scalar result JSON must be byte-identical
-# to the kernel run's -- same run_id, same scores, same bytes.
-./build/tools/sddd_cli diagnose "$OBS_DIR/s1196.bench" \
-  --chips 2 --samples 60 --threads 2 --no-kernel \
-  --json "$OBS_DIR/result_scalar.json"
-cmp "$OBS_DIR/result.json" "$OBS_DIR/result_scalar.json"
-./build/tools/sddd_cli explain "$OBS_DIR/s1196.bench" \
-  --chips 2 --samples 60 --threads 2 --no-kernel \
-  --out "$OBS_DIR/explain_scalar.json"
-python3 - "$OBS_DIR/explain.json" "$OBS_DIR/explain_scalar.json" \
-  "$OBS_DIR/metrics.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    kernel = json.load(f)
-with open(sys.argv[2]) as f:
-    scalar = json.load(f)
-# Candidate lists must agree rank by rank, score by score, phi by phi --
-# the kernel is a reimplementation of the same arithmetic, not an
-# approximation of it.
-kc, sc = kernel["candidates"], scalar["candidates"]
-assert len(kc) == len(sc), (len(kc), len(sc))
-for i, (a, b) in enumerate(zip(kc, sc)):
-    assert a["arc"] == b["arc"], f"rank {i}: arc {a['arc']} != {b['arc']}"
-    assert a["phi_sum"] == b["phi_sum"], f"rank {i}: phi_sum differs"
-    for ma, mb in zip(a["methods"], b["methods"]):
-        assert ma["score"] == mb["score"], \
-            f"rank {i} {ma['method']}: {ma['score']} != {mb['score']}"
-    for pa, pb in zip(a["patterns"], b["patterns"]):
-        assert pa["phi"] == pb["phi"], f"rank {i}: per-pattern phi differs"
-# The kernel-enabled diagnose must actually have exercised the kernel.
-with open(sys.argv[3]) as f:
-    counters = json.load(f)["counters"]
-for key in ("diag.kernel.patterns", "diag.kernel.suspects",
-            "dict.sig_cache.misses", "dict.sig_cache.bytes"):
-    assert counters.get(key, 0) > 0, f"counter {key} missing or zero"
-print(f"kernel smoke ok: {len(kc)} candidates identical scalar-vs-kernel, "
-      f"{counters['diag.kernel.suspects']} kernel phi columns, "
-      f"{counters['dict.sig_cache.misses']} cache builds")
-EOF
-
-echo "== [6/14] diagnosability gate (static analysis + suspect collapse) =="
+echo "== [5/13] diagnosability gate (static analysis report) =="
 # The machine-readable diagnosability report on the same circuit: the DIAG
 # pass must produce a well-formed report whose shape downstream tooling
 # can rely on (DESIGN.md section 13 schema).
@@ -217,28 +167,7 @@ print(f"diagnosability gate ok: {len(groups)} ambiguity groups, "
       f"{len(diag['dead_arcs'])} dead arcs")
 EOF
 
-# Suspect collapse: per-pattern unsensitized suspects share one phi
-# evaluation.  Like --no-kernel, --collapse is excluded from the experiment
-# fingerprint because the scores are provably bit-identical -- so the
-# result JSON must be byte-identical while diag.phi_evals strictly drops.
-./build/tools/sddd_cli diagnose "$OBS_DIR/s1196.bench" \
-  --chips 2 --samples 60 --threads 2 --collapse \
-  --json "$OBS_DIR/result_collapse.json" \
-  --metrics-out "$OBS_DIR/collapse_metrics.json"
-cmp "$OBS_DIR/result.json" "$OBS_DIR/result_collapse.json"
-python3 - "$OBS_DIR/metrics.json" "$OBS_DIR/collapse_metrics.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    full = json.load(f)["counters"]
-with open(sys.argv[2]) as f:
-    collapsed = json.load(f)["counters"]
-assert 0 < collapsed["diag.phi_evals"] < full["diag.phi_evals"], \
-    (collapsed["diag.phi_evals"], full["diag.phi_evals"])
-print(f"collapse ok: result JSON byte-identical, phi_evals "
-      f"{full['diag.phi_evals']} -> {collapsed['diag.phi_evals']}")
-EOF
-
-echo "== [7/14] crash/resume smoke (SIGKILL mid-trials, byte-identical) =="
+echo "== [6/13] crash/resume smoke (SIGKILL mid-trials, byte-identical) =="
 # Reference: the same experiment, uninterrupted, at two thread counts.
 # The deterministic result JSON must not depend on threads or on how many
 # times the run was killed and resumed.
@@ -264,7 +193,7 @@ wait "$VICTIM" 2>/dev/null || true
 cmp "$OBS_DIR/ref_t1.json" "$OBS_DIR/resumed.json"
 echo "crash/resume smoke ok: resumed JSON byte-identical to reference"
 
-echo "== [8/14] fault-injection smoke (quarantine, exit 0) =="
+echo "== [7/13] fault-injection smoke (quarantine, exit 0) =="
 SDDD_FAULTS="exp.trial@1,3" ./build/tools/sddd_cli diagnose \
   "${DIAG_ARGS[@]}" --threads 2 --metrics-out "$OBS_DIR/fault_metrics.json"
 python3 - "$OBS_DIR/fault_metrics.json" <<'EOF'
@@ -278,7 +207,7 @@ assert counters.get("trial.quarantined") == 2, \
 print("fault smoke ok: 2 faults injected, 2 trials quarantined, exit 0")
 EOF
 
-echo "== [9/14] flight-recorder postmortem + run ledger/report smoke =="
+echo "== [8/13] flight-recorder postmortem + run ledger/report smoke =="
 # A quarantined trial must leave a postmortem bundle behind, and the bundle
 # must cross-link the SAME run_id the manifest carries (the experiment
 # fingerprint), so the crash dump and the run's provenance can be joined.
@@ -325,7 +254,7 @@ print(f"ledger/report smoke ok: runs {diff['run_a']} vs {diff['run_b']}, "
       f"{len(diff['counters'])} counters compared")
 EOF
 
-echo "== [10/14] store/serve crash-replay smoke (SIGKILL, byte-identical) =="
+echo "== [9/13] store/serve crash-replay smoke (SIGKILL, byte-identical) =="
 CLI=./build/tools/sddd_cli
 # Build the store twice: a store build is a pure function of (netlist,
 # config), so the two files must be byte-identical.
@@ -385,7 +314,7 @@ wait "$SERVE_PID"
 grep -q '"tool":"serve"' "$OBS_DIR/serve_ledger.jsonl"
 echo "serve crash-replay ok: responses byte-identical across SIGKILL+restart"
 
-echo "== [11/14] store corruption smoke (quarantine + degraded health) =="
+echo "== [10/13] store corruption smoke (quarantine + degraded health) =="
 # A second store from a different circuit, then poison the FIRST store's
 # header checksum verify at open (store.crc ordinal 0).  The server must
 # come up degraded, keep serving the healthy store, and drain with exit 0.
@@ -423,7 +352,7 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 echo "corruption smoke ok: quarantined store isolated, healthy store served, exit 0"
 
-echo "== [12/14] live observability smoke (stats, tracing, drain flush) =="
+echo "== [11/13] live observability smoke (stats, tracing, drain flush) =="
 # A server with the full observability surface wired: concurrent clients,
 # then the stats op in both renderings, a SIGUSR1 live dump, and a
 # SIGTERM drain that must leave a complete metrics snapshot behind.
@@ -581,7 +510,7 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
 echo "live observability smoke ok"
 
-echo "== [13/14] perf sentry gate (must fire on injected slowdown) =="
+echo "== [12/13] perf sentry gate (must fire on injected slowdown) =="
 # Deterministic proof on a synthetic history: the sentry passes a healthy
 # run and FAILS the same run under --inject-slowdown 2.0.
 python3 tools/selfcheck_bench_tools.py "$OBS_DIR"
@@ -592,7 +521,7 @@ if [ -f BENCH_history.jsonl ]; then
     --last 3
 fi
 
-echo "== [14/14] clang-tidy profile =="
+echo "== [13/13] clang-tidy profile =="
 tools/run_static_checks.sh
 
 echo "ci.sh: all gates passed"
