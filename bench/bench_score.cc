@@ -476,13 +476,7 @@ int main(int argc, char** argv) {
       if (!rec.circuit.empty()) rec.circuit.push_back(',');
       rec.circuit += name;
     }
-    rec.counters = obs::MetricsRegistry::instance().snapshot().counters;
-    rec.peak_rss_kb = obs::read_peak_rss_kb();
     rec.result_path = json_path;
-    rec.unix_ms = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
     if (obs::append_ledger_record(obs::ledger_out_path(), rec)) {
       SDDD_LOG_INFO("ledger: appended run %s to %s", rec.run_id.c_str(),
                     obs::ledger_out_path().c_str());

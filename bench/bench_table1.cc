@@ -33,7 +33,6 @@
 #include "eval/table1.h"
 #include "obs/ledger.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/recorder.h"
 #include "runtime/parallel_for.h"
@@ -166,14 +165,7 @@ int main(int argc, char** argv) {
       rec.phases["dict_build_cpu_s"] += exp.phases.dict_build_cpu_seconds;
       rec.phases["score_cpu_s"] += exp.phases.score_cpu_seconds;
     }
-    rec.counters =
-        sddd::obs::MetricsRegistry::instance().snapshot().counters;
-    rec.peak_rss_kb = sddd::obs::read_peak_rss_kb();
     rec.result_path = json_path;
-    rec.unix_ms = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
     if (sddd::obs::append_ledger_record(sddd::obs::ledger_out_path(), rec)) {
       SDDD_LOG_INFO("ledger: appended run %s to %s", rec.run_id.c_str(),
                     sddd::obs::ledger_out_path().c_str());

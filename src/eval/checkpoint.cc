@@ -1,12 +1,6 @@
 #include "eval/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <bit>
-#include <cerrno>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "obs/atomic_file.h"
@@ -28,62 +22,82 @@ bool parse_double_hex(std::string_view s, double* out) {
   return true;
 }
 
-/// Journal messages are single-line by construction, but defend the format
-/// anyway: escape backslash and newline so one record is always one line.
-std::string escape_message(std::string_view msg) {
-  std::string out;
-  out.reserve(msg.size());
-  for (const char c : msg) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
+enum class JournalLine { kBad, kRun, kTrial };
+
+/// Maps one decoded journal record.  A run line carries only run_id; a
+/// trial line carries the trial index and every TrialRecord field.
+JournalLine journal_fields(const obs::JsonValue& obj, CheckpointRecord* out) {
+  obs::RecordFields f(obj);
+  CheckpointRecord rec;
+  std::string run_id;
+  f.str("run_id", &run_id);
+  if (!obs::parse_hex64(run_id, &rec.run_id)) return JournalLine::kBad;
+  if (obj.get("trial") == nullptr) {
+    *out = std::move(rec);
+    return JournalLine::kRun;
+  }
+  TrialRecord& r = rec.record;
+  std::string status;
+  std::string code;
+  std::string size;
+  std::string size_mean;
+  f.u64("trial", &rec.trial);
+  f.str("status", &status);
+  f.str("error_code", &code);
+  f.u64("attempts", &r.injection_attempts);
+  f.boolean("failed_test", &r.failed_test);
+  f.u64("patterns", &r.n_patterns);
+  f.u64("failing_cells", &r.n_failing_cells);
+  f.u64("suspects", &r.n_suspects);
+  f.boolean("true_in_suspects", &r.true_arc_in_suspects);
+  f.integer("logic_rank", &r.logic_baseline_rank);
+  f.u64("sample", &r.chip.sample_index);
+  f.u64("arc", &r.chip.defect_arc);
+  f.str("size", &size);
+  f.str("size_mean", &size_mean);
+  using Kind = obs::JsonValue::Kind;
+  if (const obs::JsonValue* ranks = f.get("ranks", Kind::kArray)) {
+    r.rank_of_true.resize(ranks->array.size());
+    for (std::size_t i = 0; i < ranks->array.size(); ++i) {
+      if (!obs::RecordFields::to_int(ranks->array[i], &r.rank_of_true[i])) {
+        f.fail();
+      }
     }
   }
-  return out;
-}
-
-std::string unescape_message(std::string_view msg) {
-  std::string out;
-  out.reserve(msg.size());
-  for (std::size_t i = 0; i < msg.size(); ++i) {
-    if (msg[i] == '\\' && i + 1 < msg.size()) {
-      out += msg[i + 1] == 'n' ? '\n' : msg[i + 1];
-      ++i;
-    } else {
-      out += msg[i];
+  if (const obs::JsonValue* extra = f.get("extra", Kind::kArray)) {
+    for (const obs::JsonValue& e : extra->array) {
+      int arc = -1;
+      double defect_size = 0.0;
+      if (!e.is_array() || e.array.size() != 2 ||
+          !obs::RecordFields::to_int(e.array[0], &arc) || arc < 0 ||
+          !e.array[1].is_string() ||
+          !parse_double_hex(e.array[1].string, &defect_size)) {
+        f.fail();
+        break;
+      }
+      r.extra_defects.emplace_back(static_cast<netlist::ArcId>(arc),
+                                   defect_size);
     }
   }
-  return out;
-}
-
-constexpr std::string_view kHeaderMagic = "sddd-ckpt v1 ";
-
-std::string header_line(std::uint64_t fingerprint, std::size_t n_trials) {
-  return std::string(kHeaderMagic) + obs::hex64(fingerprint) + ' ' +
-         std::to_string(n_trials) + '\n';
-}
-
-void write_all_fd(int fd, std::string_view data, const std::string& path) {
-  if (!obs::write_all(fd, data)) {
-    throw IoError("checkpoint write failed for " + path + ": " +
-                  std::strerror(errno));
+  f.str("message", &r.error_message);
+  if (!f.ok() || !parse_trial_status(status, &r.status) ||
+      !parse_error_code(code, &r.error_code) ||
+      !parse_double_hex(size, &r.chip.defect_size) ||
+      !parse_double_hex(size_mean, &r.chip.size_mean)) {
+    return JournalLine::kBad;
   }
+  r.from_checkpoint = true;
+  *out = std::move(rec);
+  return JournalLine::kTrial;
 }
 
-const char* status_names[] = {"not_failing", "diagnosed", "quarantined",
-                              "skipped"};
-
-bool parse_trial_status(std::string_view name, TrialStatus* out) {
-  for (int i = 0; i < 4; ++i) {
-    if (name == status_names[i]) {
-      *out = static_cast<TrialStatus>(i);
-      return true;
-    }
+/// The ckpt.open fault seam, ahead of the real open.
+const std::string& open_seam(const std::string& path) {
+  if (obs::fault_at("ckpt.open", 0)) {
+    throw IoError("checkpoint open failed for " + path +
+                  ": injected fault (SDDD_FAULTS)");
   }
-  return false;
+  return path;
 }
 
 }  // namespace
@@ -123,205 +137,86 @@ std::uint64_t experiment_fingerprint(const std::string& circuit_name,
   return obs::artifact_fnv(os.str());
 }
 
-std::string encode_checkpoint_record(std::size_t trial,
+std::string encode_checkpoint_record(std::uint64_t run_id, std::size_t trial,
                                      const TrialRecord& r) {
-  std::ostringstream os;
-  os << trial << ' ' << trial_status_name(r.status) << ' '
-     << error_code_name(r.error_code) << ' ' << r.injection_attempts << ' '
-     << (r.failed_test ? 1 : 0) << ' ' << r.n_patterns << ' '
-     << r.n_failing_cells << ' ' << r.n_suspects << ' '
-     << (r.true_arc_in_suspects ? 1 : 0) << ' ' << r.logic_baseline_rank
-     << ' ' << r.chip.sample_index << ' ' << r.chip.defect_arc << ' '
-     << double_hex(r.chip.defect_size) << ' ' << double_hex(r.chip.size_mean)
-     << ' ' << r.rank_of_true.size();
-  for (const int rank : r.rank_of_true) os << ' ' << rank;
-  os << ' ' << r.extra_defects.size();
-  for (const auto& [arc, size] : r.extra_defects) {
-    os << ' ' << arc << ':' << double_hex(size);
+  std::string ranks = "[";
+  for (const int rank : r.rank_of_true) {
+    if (ranks.size() > 1) ranks.push_back(',');
+    ranks.append(std::to_string(rank));
   }
-  os << " m=" << escape_message(r.error_message);
-  const std::string payload = os.str();
-  return "T " + obs::hex64(obs::artifact_fnv(payload)) + ' ' + payload;
+  ranks.push_back(']');
+  std::string extra = "[";
+  for (const auto& [arc, size] : r.extra_defects) {
+    if (extra.size() > 1) extra.push_back(',');
+    extra.append("[").append(std::to_string(arc)).append(",\"");
+    extra.append(double_hex(size)).append("\"]");
+  }
+  extra.push_back(']');
+  return obs::RecordMembers()
+      .str("run_id", obs::hex64(run_id))
+      .u64("trial", trial)
+      .str("status", trial_status_name(r.status))
+      .str("error_code", error_code_name(r.error_code))
+      .u64("attempts", r.injection_attempts)
+      .raw("failed_test", r.failed_test ? "true" : "false")
+      .u64("patterns", r.n_patterns)
+      .u64("failing_cells", r.n_failing_cells)
+      .u64("suspects", r.n_suspects)
+      .raw("true_in_suspects", r.true_arc_in_suspects ? "true" : "false")
+      .raw("logic_rank", std::to_string(r.logic_baseline_rank))
+      .u64("sample", r.chip.sample_index)
+      .u64("arc", r.chip.defect_arc)
+      .str("size", double_hex(r.chip.defect_size))
+      .str("size_mean", double_hex(r.chip.size_mean))
+      .raw("ranks", ranks)
+      .raw("extra", extra)
+      .str("message", r.error_message)
+      .frame();
 }
 
-bool decode_checkpoint_record(const std::string& line, CheckpointRecord* out) {
-  if (line.size() < 2 || line[0] != 'T' || line[1] != ' ') return false;
-  const std::size_t crc_end = line.find(' ', 2);
-  if (crc_end == std::string::npos) return false;
-  std::uint64_t crc = 0;
-  if (!obs::parse_hex64(std::string_view(line).substr(2, crc_end - 2),
-                        &crc)) {
-    return false;
-  }
-  const std::string payload = line.substr(crc_end + 1);
-  if (obs::artifact_fnv(payload) != crc) return false;
-
-  // The message field is "m=<rest of line>"; split it off first so the
-  // stream below only sees whitespace-delimited scalars.
-  const std::size_t m_pos = payload.rfind(" m=");
-  if (m_pos == std::string::npos) return false;
-  std::istringstream is(payload.substr(0, m_pos));
-  CheckpointRecord rec;
-  TrialRecord& r = rec.record;
-  std::string status_name;
-  std::string code_name;
-  std::string ds_hex;
-  std::string sm_hex;
-  int failed = 0;
-  int true_in = 0;
-  std::size_t n_ranks = 0;
-  if (!(is >> rec.trial >> status_name >> code_name >> r.injection_attempts >>
-        failed >> r.n_patterns >> r.n_failing_cells >> r.n_suspects >>
-        true_in >> r.logic_baseline_rank >> r.chip.sample_index >>
-        r.chip.defect_arc >> ds_hex >> sm_hex >> n_ranks)) {
-    return false;
-  }
-  if (!parse_trial_status(status_name, &r.status) ||
-      !parse_error_code(code_name, &r.error_code) ||
-      !parse_double_hex(ds_hex, &r.chip.defect_size) ||
-      !parse_double_hex(sm_hex, &r.chip.size_mean)) {
-    return false;
-  }
-  r.failed_test = failed != 0;
-  r.true_arc_in_suspects = true_in != 0;
-  r.rank_of_true.resize(n_ranks);
-  for (std::size_t i = 0; i < n_ranks; ++i) {
-    if (!(is >> r.rank_of_true[i])) return false;
-  }
-  std::size_t n_extra = 0;
-  if (!(is >> n_extra)) return false;
-  r.extra_defects.resize(n_extra);
-  for (std::size_t i = 0; i < n_extra; ++i) {
-    std::string tok;
-    if (!(is >> tok)) return false;
-    const std::size_t colon = tok.find(':');
-    if (colon == std::string::npos) return false;
-    r.extra_defects[i].first = static_cast<netlist::ArcId>(
-        std::strtoull(tok.c_str(), nullptr, 10));
-    if (!parse_double_hex(std::string_view(tok).substr(colon + 1),
-                          &r.extra_defects[i].second)) {
-      return false;
-    }
-  }
-  std::string trailing;
-  if (is >> trailing) return false;  // extra fields = corrupt
-  r.error_message = unescape_message(payload.substr(m_pos + 3));
-  r.from_checkpoint = true;
-  *out = std::move(rec);
-  return true;
+bool decode_checkpoint_record(std::string_view line, CheckpointRecord* out) {
+  obs::JsonValue obj;
+  return obs::unframe_record(line, &obj) &&
+         journal_fields(obj, out) == JournalLine::kTrial;
 }
 
 CheckpointLoad load_checkpoint(const std::string& path,
-                               std::uint64_t fingerprint,
-                               std::size_t n_trials) {
+                               std::uint64_t fingerprint) {
   CheckpointLoad load;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return load;  // missing file: start fresh
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
-
-  // Header first.  A journal for a different experiment is an error; a
-  // garbled header (e.g. a crash before the first fsync) just means an
-  // empty journal.
-  const std::size_t header_end = contents.find('\n');
-  if (header_end == std::string::npos) return load;
-  const std::string header = contents.substr(0, header_end + 1);
-  if (header.rfind(kHeaderMagic, 0) != 0) return load;
-  {
-    std::istringstream hs(header.substr(kHeaderMagic.size()));
-    std::string fp_hex;
-    std::size_t journal_trials = 0;
-    std::uint64_t fp = 0;
-    if (!(hs >> fp_hex >> journal_trials) || !obs::parse_hex64(fp_hex, &fp)) {
-      return load;
-    }
-    if (fp != fingerprint || journal_trials != n_trials) {
-      throw IoError(
-          "checkpoint " + path +
-          " was written by a different experiment configuration; refusing "
-          "to resume (delete it or drop --resume to start over)");
-    }
-  }
-  load.header_ok = true;
-  load.valid_bytes = header.size();
-
-  // Accept the longest valid prefix of records.  Only lines that end in
-  // '\n' AND checksum-validate advance valid_bytes; the first bad line
-  // (typically a partial tail write from a crash) stops the scan.
-  std::size_t pos = header.size();
-  while (pos < contents.size()) {
-    const std::size_t eol = contents.find('\n', pos);
-    if (eol == std::string::npos) break;  // unterminated tail
-    const std::string line = contents.substr(pos, eol - pos);
-    CheckpointRecord rec;
-    if (!decode_checkpoint_record(line, &rec) || rec.trial >= n_trials) break;
-    load.records.push_back(std::move(rec));
-    pos = eol + 1;
-    load.valid_bytes = pos;
-  }
+  load.skipped_lines =
+      obs::scan_record_log(path, "checkpoint", [&](const obs::JsonValue& obj) {
+        CheckpointRecord rec;
+        const JournalLine kind = journal_fields(obj, &rec);
+        if (kind == JournalLine::kBad) return false;
+        if (rec.run_id != fingerprint) {
+          throw IoError(
+              "checkpoint " + path +
+              " was written by a different experiment configuration; "
+              "refusing to resume (delete it or drop --resume to start "
+              "over)");
+        }
+        if (kind == JournalLine::kTrial) load.records.push_back(std::move(rec));
+        return true;
+      });
   return load;
 }
 
 CheckpointWriter::CheckpointWriter(const std::string& path,
-                                   std::uint64_t fingerprint,
-                                   std::size_t n_trials,
-                                   std::uint64_t valid_bytes,
-                                   bool write_header)
-    : path_(path) {
-  if (obs::fault_at("ckpt.open", 0)) {
-    throw IoError("checkpoint open failed for " + path +
-                  ": injected fault (SDDD_FAULTS)");
-  }
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
-  if (fd_ < 0) {
-    throw IoError("checkpoint open failed for " + path + ": " +
-                  std::strerror(errno));
-  }
-  // Drop any invalid tail (a record half-written at crash time) before
-  // appending, so the file is all-valid-records again.
-  if (::ftruncate(fd_, static_cast<off_t>(valid_bytes)) != 0 ||
-      ::lseek(fd_, static_cast<off_t>(valid_bytes), SEEK_SET) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    throw IoError("checkpoint truncate failed for " + path + ": " + err);
-  }
-  if (write_header) {
-    write_all_fd(fd_, header_line(fingerprint, n_trials), path_);
-    unsynced_ = 1;
-  }
-}
-
-CheckpointWriter::~CheckpointWriter() {
-  if (fd_ >= 0) {
-    if (unsynced_ > 0) ::fsync(fd_);
-    ::close(fd_);
-  }
+                                   std::uint64_t fingerprint, bool resume)
+    : fingerprint_(fingerprint),
+      path_(path),
+      log_(open_seam(path), resume ? obs::RecordLogWriter::Mode::kAppend
+                                   : obs::RecordLogWriter::Mode::kTruncate) {
+  log_.append(
+      obs::RecordMembers().str("run_id", obs::hex64(fingerprint)).frame());
 }
 
 void CheckpointWriter::append(std::size_t trial, const TrialRecord& record) {
-  const std::string line = encode_checkpoint_record(trial, record) + '\n';
-  const std::lock_guard<std::mutex> lock(mu_);
   if (obs::fault_at("ckpt.write", trial)) {
     throw IoError("checkpoint append failed for " + path_ +
                   ": injected fault (SDDD_FAULTS)");
   }
-  write_all_fd(fd_, line, path_);
-  // fsync in batches: bounds the crash-loss window to kSyncEvery trials
-  // without paying a disk flush per trial.
-  if (++unsynced_ >= kSyncEvery) {
-    ::fsync(fd_);
-    unsynced_ = 0;
-  }
-}
-
-void CheckpointWriter::flush() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ >= 0 && unsynced_ > 0) {
-    ::fsync(fd_);
-    unsynced_ = 0;
-  }
+  log_.append(encode_checkpoint_record(fingerprint_, trial, record));
 }
 
 void write_experiment_json(const ExperimentResult& result,

@@ -11,19 +11,21 @@
 // resumed result is byte-identical to an uninterrupted run at any thread
 // count.
 //
-// File format (text, one record per line, LF terminated):
+// File format: the record log's (obs/record_log.h), shared with the run
+// ledger - one crc-framed JSON record per line.  Every writer session
+// opens with a run line, then appends one trial line per finished trial:
 //
-//   sddd-ckpt v1 <fingerprint-hex> <n_trials>
-//   T <crc-hex> <trial> <status> <error-code> ...fields... m=<message>
+//   {"crc":"<16 hex>","run_id":"<fingerprint>"}
+//   {"crc":"<16 hex>","run_id":"<fingerprint>","trial":5,"status":...}
 //
-// The fingerprint hashes the experiment identity (circuit, seed, trial
-// count, sample counts, method list...); resuming against a journal with a
-// different fingerprint is an error, not a silent wrong answer.  The crc
-// (FNV-1a 64 of the payload after it) makes records self-validating: the
-// loader accepts the longest valid prefix and reports where it ends, and
-// the writer truncates the file there before appending, so a record half
-// written at the moment of a crash - the expected failure mode - is
-// dropped and its trial simply re-runs.
+// run_id is the experiment fingerprint, which hashes the experiment
+// identity (circuit, seed, trial count, sample counts, method list...);
+// resuming against a journal holding a valid record of a different
+// experiment is an error, not a silent wrong answer.  Doubles are stored as
+// their bit patterns in 16 hex, so the round trip is exact.  The record log
+// skips torn and corrupt lines - typically a record half written at the
+// moment of a crash - so their trials simply re-run, and the writer closes
+// a torn tail off with a newline before appending.
 //
 // Quarantined trials ARE journaled (re-running them would fail again
 // deterministically); deadline-skipped trials are NOT (resume exists
@@ -33,12 +35,12 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "eval/experiment.h"
+#include "obs/record_log.h"
 
 namespace sddd::eval {
 
@@ -49,70 +51,57 @@ namespace sddd::eval {
 std::uint64_t experiment_fingerprint(const std::string& circuit_name,
                                      const ExperimentConfig& config);
 
-/// One journal record: the trial index plus its finished TrialRecord.
+/// One journal trial line: the experiment it belongs to, the trial index
+/// and its finished TrialRecord.
 struct CheckpointRecord {
+  std::uint64_t run_id = 0;
   std::size_t trial = 0;
   TrialRecord record;
 };
 
-/// Serializes `record` as one journal line (no trailing newline) and
-/// parses it back.  Exposed for tests; doubles are bit-cast to hex so the
-/// round trip is exact.
-std::string encode_checkpoint_record(std::size_t trial,
+/// Serializes one trial line (no trailing newline) and parses it back.
+/// Exposed for tests.  decode_checkpoint_record accepts trial lines only.
+std::string encode_checkpoint_record(std::uint64_t run_id, std::size_t trial,
                                      const TrialRecord& record);
-bool decode_checkpoint_record(const std::string& line, CheckpointRecord* out);
+bool decode_checkpoint_record(std::string_view line, CheckpointRecord* out);
 
 /// Result of scanning a journal file.
 struct CheckpointLoad {
-  /// Valid records in file order (later duplicates of a trial win).
+  /// Valid trial records in file order (later duplicates of a trial win).
   std::vector<CheckpointRecord> records;
-  /// File offset just past the last valid record (= where appending may
-  /// safely continue).  0 when the file is missing or the header is bad.
-  std::uint64_t valid_bytes = 0;
-  bool header_ok = false;
+  /// Torn, corrupt or malformed lines that were skipped.
+  std::size_t skipped_lines = 0;
 };
 
-/// Scans `path`, validating the header against `fingerprint` and every
-/// record checksum; stops at the first invalid or truncated line.  A
-/// missing file loads as empty.  Throws sddd::IoError when the file exists
-/// but was written for a different experiment (fingerprint mismatch) or
-/// its trial count disagrees with `n_trials`.
+/// Scans `path` through the record log.  A missing file loads as empty.
+/// Throws sddd::IoError when a valid record belongs to another experiment
+/// (its run_id is not `fingerprint`).
 CheckpointLoad load_checkpoint(const std::string& path,
-                               std::uint64_t fingerprint,
-                               std::size_t n_trials);
+                               std::uint64_t fingerprint);
 
-/// Append-side of the journal.  Thread-safe: trials finishing on any
-/// worker append under a mutex; record order in the file is the completion
-/// order (schedule-dependent), which is fine because records carry their
-/// trial index.  fsync is batched (every kSyncEvery appends, plus one on
-/// destruction), bounding both the crash window and the sync overhead.
+/// Append side of the journal.  Thread-safe: trials finishing on any
+/// worker append through the record log's mutex; record order in the file
+/// is the completion order (schedule-dependent), which is fine because
+/// records carry their trial index.
 class CheckpointWriter {
  public:
-  /// Opens `path` for appending at `valid_bytes` (truncating any invalid
-  /// tail beyond it); writes the header first when `write_header`.  Throws
-  /// sddd::IoError on any filesystem failure.
+  /// Opens `path` - appending when `resume`, starting it over otherwise -
+  /// and writes the run line.  Throws sddd::IoError on any filesystem
+  /// failure (also the `ckpt.open` fault seam).
   CheckpointWriter(const std::string& path, std::uint64_t fingerprint,
-                   std::size_t n_trials, std::uint64_t valid_bytes,
-                   bool write_header);
-  ~CheckpointWriter();
-
-  CheckpointWriter(const CheckpointWriter&) = delete;
-  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
+                   bool resume);
 
   /// Appends one finished trial.  Throws sddd::IoError on write failure
   /// (also the `ckpt.write` fault seam, keyed by trial index).
   void append(std::size_t trial, const TrialRecord& record);
 
   /// Forces an fsync of everything appended so far.
-  void flush();
-
-  static constexpr std::size_t kSyncEvery = 8;
+  void flush() { log_.flush(); }
 
  private:
-  std::mutex mu_;
-  int fd_ = -1;
+  std::uint64_t fingerprint_;
   std::string path_;
-  std::size_t unsynced_ = 0;
+  obs::RecordLogWriter log_;
 };
 
 /// Writes the deterministic result JSON: config identity, aggregate

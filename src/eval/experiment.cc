@@ -101,14 +101,27 @@ std::size_t ExperimentResult::diagnosable_trials() const {
   return total;
 }
 
+namespace {
+
+/// Indexed by TrialStatus.
+constexpr std::string_view kTrialStatusNames[] = {"not_failing", "diagnosed",
+                                                  "quarantined", "skipped"};
+
+}  // namespace
+
 std::string_view trial_status_name(TrialStatus status) {
-  switch (status) {
-    case TrialStatus::kNotFailing: return "not_failing";
-    case TrialStatus::kDiagnosed: return "diagnosed";
-    case TrialStatus::kQuarantined: return "quarantined";
-    case TrialStatus::kSkipped: return "skipped";
+  const auto i = static_cast<std::size_t>(status);
+  return i < std::size(kTrialStatusNames) ? kTrialStatusNames[i] : "unknown";
+}
+
+bool parse_trial_status(std::string_view name, TrialStatus* out) {
+  for (std::size_t i = 0; i < std::size(kTrialStatusNames); ++i) {
+    if (kTrialStatusNames[i] == name) {
+      *out = static_cast<TrialStatus>(i);
+      return true;
+    }
   }
-  return "unknown";
+  return false;
 }
 
 std::size_t ExperimentResult::quarantined_trials() const {
@@ -474,19 +487,13 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
   std::vector<char> done(config.n_chips, 0);
   std::unique_ptr<CheckpointWriter> journal;
   if (!config.checkpoint_path.empty()) {
-    std::uint64_t valid_bytes = 0;
-    bool write_header = true;
     if (config.resume) {
-      CheckpointLoad load =
-          load_checkpoint(config.checkpoint_path, fp, config.n_chips);
-      for (CheckpointRecord& rec : load.records) {
+      for (CheckpointRecord& rec :
+           load_checkpoint(config.checkpoint_path, fp).records) {
+        if (rec.trial >= config.n_chips) continue;
         if (!done[rec.trial]) ++result.resumed_trials;
         done[rec.trial] = 1;
         result.trials[rec.trial] = std::move(rec.record);
-      }
-      if (load.header_ok) {
-        valid_bytes = load.valid_bytes;
-        write_header = false;
       }
       if (result.resumed_trials > 0) {
         run_resumed_counter().add(result.resumed_trials);
@@ -495,9 +502,8 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
                       config.n_chips, config.checkpoint_path.c_str());
       }
     }
-    journal = std::make_unique<CheckpointWriter>(
-        config.checkpoint_path, fp, config.n_chips, valid_bytes,
-        write_header);
+    journal = std::make_unique<CheckpointWriter>(config.checkpoint_path, fp,
+                                                 config.resume);
   }
 
   // Soft deadline for the trial loop.  The token travels as the ambient

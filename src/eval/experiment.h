@@ -133,6 +133,9 @@ enum class TrialStatus : int {
 /// Stable lower-case name ("not_failing", "diagnosed", "quarantined",
 /// "skipped") used in journals and result JSON.
 std::string_view trial_status_name(TrialStatus status);
+/// Inverse of trial_status_name; false (and `*out` untouched) on any other
+/// name.
+bool parse_trial_status(std::string_view name, TrialStatus* out);
 
 /// Outcome of diagnosing one failing chip.
 struct TrialRecord {

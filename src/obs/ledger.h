@@ -8,16 +8,15 @@
 // append-only index that `sddd_cli report` diffs and that the perf
 // regression sentry reads.
 //
-// Line format (one record per line, no trailing spaces):
+// Line format: the record log's frame (obs/record_log.h), shared with the
+// checkpoint journal, one record per line:
 //
 //   {"crc":"<16 hex>","v":1,"run_id":...,...}
 //
-// The crc is hex64(artifact_fnv(...)) (obs/codec.h) of every byte AFTER
-// the `"crc":"....",` prefix (i.e. of the payload `"v":1,...}`), so a
-// reader can verify integrity with plain string operations before parsing.  Torn or corrupt lines --
-// e.g. the tail of a file cut by a crash mid-append -- fail the checksum
-// and are skipped with a warning rather than poisoning the whole ledger,
-// mirroring the checkpoint journal's longest-valid-prefix policy.
+// The record log also supplies the torn-tail policy: corrupt lines (e.g.
+// the tail of a file cut by a crash mid-append) are skipped with a warning
+// rather than poisoning the whole ledger, and the next append starts on a
+// fresh line.
 //
 // Determinism note: `unix_ms` and every *_seconds / rss field are
 // wall-clock measurements and are deliberately excluded from any
@@ -56,7 +55,8 @@ struct LedgerRecord {
   /// Per-phase wall seconds ("setup_s", "calibration_s", "trials_s", ...).
   std::map<std::string, double> phases;
   /// Counter snapshot (deterministic names; values like *_ns are wall
-  /// measurements and only meaningful as run-to-run deltas).
+  /// measurements and only meaningful as run-to-run deltas).  Filled by
+  /// append_ledger_record, like peak_rss_kb and unix_ms.
   std::map<std::string, std::uint64_t> counters;
   std::uint64_t peak_rss_kb = 0;  ///< VmHWM at append time; 0 off-Linux.
   std::string manifest_fnv;       ///< hex64 of manifest.json bytes, or "".
@@ -72,9 +72,11 @@ std::string encode_ledger_record(const LedgerRecord& rec);
 /// untouched) on any malformed or corrupt input.
 bool decode_ledger_record(std::string_view line, LedgerRecord* out);
 
-/// Appends `rec` as one line with O_APPEND + fsync so concurrent runs
-/// interleave whole lines and a crash can tear at most the final line.
-/// Returns false on I/O failure (logged, never throws).
+/// Stamps `rec` with the metrics registry's counter snapshot, the peak RSS
+/// and the wall clock, then appends it as one line (O_APPEND + fsync, see
+/// obs/record_log.h) so concurrent runs interleave whole lines and a crash
+/// can tear at most the final line.  Returns false on I/O failure (logged,
+/// never throws).
 bool append_ledger_record(const std::string& path, const LedgerRecord& rec);
 
 struct LedgerFile {
@@ -88,10 +90,6 @@ LedgerFile load_ledger(const std::string& path);
 
 /// The last valid record, or nullopt for an empty/missing ledger.
 std::optional<LedgerRecord> ledger_tail(const std::string& path);
-
-/// Peak resident set (VmHWM) in kB from /proc/self/status; 0 when the
-/// field is unavailable (non-Linux).
-std::uint64_t read_peak_rss_kb();
 
 /// A fresh 16-hex id for one tool INVOCATION (hashes tool, git sha, pid
 /// and the wall clock).  Benchmarks use this instead of the experiment
@@ -113,16 +111,7 @@ struct LedgerDiff {
     std::string name;
     std::uint64_t a = 0, b = 0;
   };
-  std::string run_a, run_b;  ///< run_ids
-  std::string tool_a, tool_b;
-  std::string circuit_a, circuit_b;
-  std::string sha_a, sha_b;
-  std::string bench_a, bench_b;  ///< bench shape tags; "" = non-bench run
-  std::uint64_t clients_a = 0, clients_b = 0;
-  std::uint64_t batch_a = 0, batch_b = 0;
-  std::uint64_t threads_a = 0, threads_b = 0;
-  double wall_a = 0.0, wall_b = 0.0;
-  std::uint64_t rss_a = 0, rss_b = 0;
+  LedgerRecord a, b;                 ///< the two runs compared
   std::vector<PhaseRow> phases;      ///< union of phase keys, sorted
   std::vector<CounterRow> counters;  ///< union of counter names, sorted
   /// "identical" when both runs carry a result hash for the same run_id

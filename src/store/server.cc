@@ -620,7 +620,6 @@ void DiagnosisServer::wait() {
     rec.wall_seconds = wall_seconds;
     const obs::MetricsSnapshot snap =
         obs::MetricsRegistry::instance().snapshot();
-    rec.counters = snap.counters;
     // Session-level request latency, so run-diff reports see serving
     // regressions without re-deriving them from raw histograms.
     const auto hist = snap.histograms.find("serve.request_us");
@@ -629,7 +628,6 @@ void DiagnosisServer::wait() {
       rec.phases["latency_p95_ms"] = hist->second.quantile(0.95) / 1000.0;
       rec.phases["latency_p99_ms"] = hist->second.quantile(0.99) / 1000.0;
     }
-    rec.peak_rss_kb = obs::read_peak_rss_kb();
     obs::append_ledger_record(obs::ledger_out_path(), rec);
   }
   obs::dump_postmortem("serve.drain");

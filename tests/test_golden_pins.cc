@@ -5,10 +5,11 @@
 // literals were produced by the encoders as they stood before the shared
 // codec (obs/codec.h) replaced the per-module copies, and before the store
 // engine collapsed unobservable suspects (the served-bytes pins); they must
-// never change: old ledgers, journals and stores have to keep opening, and
-// a served diagnosis is a byte-identity contract.  This file uses only
-// long-standing public entry points, so it compiles and passes unchanged on
-// both sides of those refactors.
+// never change: old ledgers and stores have to keep opening, and a served
+// diagnosis is a byte-identity contract.  The one deliberate exception is
+// the journal line, re-pinned when the journal moved onto the ledger's
+// frame (obs/record_log.h); a journal from before that move is re-run on
+// resume, not replayed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -148,17 +149,28 @@ eval::TrialRecord golden_trial() {
   return r;
 }
 
+// The journal shares the ledger's frame (obs/record_log.h).  This line
+// replaced the pre-record-log `T <crc> ...` pin when the journal moved onto
+// that frame; the golden_trial() values it encodes are unchanged.
 constexpr const char* kGoldenJournalLine =
-    "T 0f7db8afb97488ab 5 quarantined numeric 3 1 12 4 31 1 7 17 42 "
-    "3fd8000000000000 3fd5555555555555 3 0 -1 3 2 5:3fd0000000000000 "
-    "9:4004000000000000 m=boom\\nsecond \\\\ line";
+    "{\"crc\":\"d39bd60e3c9a76d5\",\"run_id\":\"0123456789abcdef\","
+    "\"trial\":5,\"status\":\"quarantined\",\"error_code\":\"numeric\","
+    "\"attempts\":3,\"failed_test\":true,\"patterns\":12,"
+    "\"failing_cells\":4,\"suspects\":31,\"true_in_suspects\":true,"
+    "\"logic_rank\":7,\"sample\":17,\"arc\":42,"
+    "\"size\":\"3fd8000000000000\",\"size_mean\":\"3fd5555555555555\","
+    "\"ranks\":[0,-1,3],"
+    "\"extra\":[[5,\"3fd0000000000000\"],[9,\"4004000000000000\"]],"
+    "\"message\":\"boom\\nsecond \\\\ line\"}";
 
 TEST(GoldenPins, CheckpointJournalLine) {
-  EXPECT_EQ(eval::encode_checkpoint_record(5, golden_trial()),
+  EXPECT_EQ(eval::encode_checkpoint_record(0x0123456789abcdefULL, 5,
+                                           golden_trial()),
             kGoldenJournalLine);
   const eval::TrialRecord want = golden_trial();
   eval::CheckpointRecord got;
   ASSERT_TRUE(eval::decode_checkpoint_record(kGoldenJournalLine, &got));
+  EXPECT_EQ(got.run_id, 0x0123456789abcdefULL);
   EXPECT_EQ(got.trial, 5u);
   const eval::TrialRecord& r = got.record;
   EXPECT_EQ(r.chip.sample_index, want.chip.sample_index);

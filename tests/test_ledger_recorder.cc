@@ -145,6 +145,59 @@ TEST(Ledger, TornTailIsSkippedNotFatal) {
   std::filesystem::remove(path);
 }
 
+TEST(Ledger, AppendAfterTornTailKeepsNewRecord) {
+  const auto path = test::temp_path("ledger_torn_append.jsonl");
+  std::filesystem::remove(path);
+  ASSERT_TRUE(obs::append_ledger_record(path.string(),
+                                        sample_record("aaaaaaaaaaaaaaaa")));
+  ASSERT_TRUE(obs::append_ledger_record(path.string(),
+                                        sample_record("bbbbbbbbbbbbbbbb")));
+
+  // Cut the last line in half, as a crash mid-append would, then keep
+  // using the ledger: the next append must not be glued onto the fragment.
+  const std::string contents = slurp(path);
+  const std::size_t first_nl = contents.find('\n');
+  ASSERT_NE(first_nl, std::string::npos);
+  const std::size_t keep = first_nl + 1 + (contents.size() - first_nl) / 2;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << contents.substr(0, keep);
+  }
+  ASSERT_TRUE(obs::append_ledger_record(path.string(),
+                                        sample_record("cccccccccccccccc")));
+
+  const obs::LedgerFile ledger = obs::load_ledger(path.string());
+  ASSERT_EQ(ledger.records.size(), 2u);
+  EXPECT_EQ(ledger.records[0].run_id, "aaaaaaaaaaaaaaaa");
+  EXPECT_EQ(ledger.records[1].run_id, "cccccccccccccccc");
+  EXPECT_EQ(ledger.skipped_lines, 1u);
+  std::filesystem::remove(path);
+}
+
+TEST(Ledger, AppendStampsCountersRssAndClock) {
+  const auto path = test::temp_path("ledger_stamp.jsonl");
+  std::filesystem::remove(path);
+  static obs::Counter& stamp =
+      obs::MetricsRegistry::instance().register_counter("test.ledger_stamp");
+  stamp.add(3);
+  obs::LedgerRecord rec = sample_record("dddddddddddddddd");
+  rec.counters.clear();
+  rec.peak_rss_kb = 0;
+  rec.unix_ms = 0;
+  ASSERT_TRUE(obs::append_ledger_record(path.string(), rec));
+
+  const obs::LedgerFile ledger = obs::load_ledger(path.string());
+  ASSERT_EQ(ledger.records.size(), 1u);
+  const obs::LedgerRecord& back = ledger.records[0];
+  EXPECT_GT(back.unix_ms, 0u);
+#ifdef __linux__
+  EXPECT_GT(back.peak_rss_kb, 0u);
+#endif
+  ASSERT_TRUE(back.counters.count("test.ledger_stamp"));
+  EXPECT_GE(back.counters.at("test.ledger_stamp"), 3u);
+  std::filesystem::remove(path);
+}
+
 TEST(Ledger, MissingFileIsAnEmptyLedger) {
   const auto path = test::temp_path("ledger_never_written.jsonl");
   std::filesystem::remove(path);

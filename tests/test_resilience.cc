@@ -1,6 +1,6 @@
 // Tests for the resilience layer: the sddd::Error taxonomy, the
 // SDDD_FAULTS injection harness, atomic artifact writes, cancellation and
-// deadlines, the checkpoint journal (round trip, corruption, truncated
+// deadlines, the checkpoint journal (round trip, corruption, torn
 // tails), trial quarantine inside run_diagnosis_experiment, and the
 // hardened parsers (bench, verilog).
 #include <gtest/gtest.h>
@@ -224,6 +224,8 @@ TEST(AtomicFile, ShortWriteFaultLeavesOldContentIntact) {
 
 // --- Checkpoint journal ---
 
+constexpr std::uint64_t kRunId = 0x1234abcdULL;
+
 eval::TrialRecord sample_record() {
   eval::TrialRecord r;
   r.status = eval::TrialStatus::kDiagnosed;
@@ -245,9 +247,10 @@ eval::TrialRecord sample_record() {
 
 TEST(Checkpoint, RecordRoundTripIsExact) {
   const eval::TrialRecord r = sample_record();
-  const std::string line = eval::encode_checkpoint_record(42, r);
+  const std::string line = eval::encode_checkpoint_record(kRunId, 42, r);
   eval::CheckpointRecord decoded;
   ASSERT_TRUE(eval::decode_checkpoint_record(line, &decoded));
+  EXPECT_EQ(decoded.run_id, kRunId);
   EXPECT_EQ(decoded.trial, 42u);
   EXPECT_TRUE(decoded.record.from_checkpoint);
   expect_records_equal(decoded.record, r);
@@ -259,7 +262,7 @@ TEST(Checkpoint, QuarantinedRecordKeepsErrorAndMessage) {
   r.error_code = ErrorCode::kNumeric;
   r.error_message = "non-finite delay sample\nwith a second line \\ slash";
   r.rank_of_true = {-1, -1};
-  const std::string line = eval::encode_checkpoint_record(0, r);
+  const std::string line = eval::encode_checkpoint_record(kRunId, 0, r);
   EXPECT_EQ(line.find('\n'), std::string::npos);  // one record = one line
   eval::CheckpointRecord decoded;
   ASSERT_TRUE(eval::decode_checkpoint_record(line, &decoded));
@@ -269,7 +272,8 @@ TEST(Checkpoint, QuarantinedRecordKeepsErrorAndMessage) {
 }
 
 TEST(Checkpoint, CorruptRecordIsRejected) {
-  std::string line = eval::encode_checkpoint_record(7, sample_record());
+  std::string line =
+      eval::encode_checkpoint_record(kRunId, 7, sample_record());
   eval::CheckpointRecord decoded;
   ASSERT_TRUE(eval::decode_checkpoint_record(line, &decoded));
   std::string flipped = line;
@@ -279,35 +283,44 @@ TEST(Checkpoint, CorruptRecordIsRejected) {
   EXPECT_FALSE(eval::decode_checkpoint_record("", &decoded));
 }
 
-TEST(Checkpoint, LoadAcceptsLongestValidPrefixAndWriterTruncatesTail) {
+TEST(Checkpoint, TornTailIsSkippedAndResumedAppendsSurvive) {
   const auto path = test::temp_path("journal_tail.ckpt");
   std::filesystem::remove(path);
-  const std::uint64_t fp = 0x1234abcdULL;
   {
-    eval::CheckpointWriter writer(path.string(), fp, 8, 0, true);
+    eval::CheckpointWriter writer(path.string(), kRunId, false);
     writer.append(0, sample_record());
     writer.append(3, sample_record());
   }
   // Simulate a crash mid-append: a record line with no trailing newline.
   {
     std::ofstream out(path, std::ios::app | std::ios::binary);
-    out << "T 00112233445566";
+    out << "{\"crc\":\"00112233445566";
   }
-  const eval::CheckpointLoad load = eval::load_checkpoint(path.string(), fp, 8);
-  ASSERT_TRUE(load.header_ok);
+  const eval::CheckpointLoad load =
+      eval::load_checkpoint(path.string(), kRunId);
   ASSERT_EQ(load.records.size(), 2u);
   EXPECT_EQ(load.records[0].trial, 0u);
   EXPECT_EQ(load.records[1].trial, 3u);
-  // Reopening at valid_bytes drops the partial tail, then appends cleanly.
+  EXPECT_EQ(load.skipped_lines, 1u);
+  // A resumed writer closes the fragment off with a newline, so the record
+  // appended next is intact and the fragment stays one skipped line.
   {
-    eval::CheckpointWriter writer(path.string(), fp, 8, load.valid_bytes,
-                                  false);
+    eval::CheckpointWriter writer(path.string(), kRunId, true);
     writer.append(5, sample_record());
   }
+  EXPECT_NE(slurp(path).find("{\"crc\":\"00112233445566\n"),
+            std::string::npos);
   const eval::CheckpointLoad reloaded =
-      eval::load_checkpoint(path.string(), fp, 8);
+      eval::load_checkpoint(path.string(), kRunId);
   ASSERT_EQ(reloaded.records.size(), 3u);
   EXPECT_EQ(reloaded.records[2].trial, 5u);
+  EXPECT_EQ(reloaded.skipped_lines, 1u);
+  // Starting over (no resume) drops every old line.
+  { eval::CheckpointWriter writer(path.string(), kRunId, false); }
+  const eval::CheckpointLoad fresh =
+      eval::load_checkpoint(path.string(), kRunId);
+  EXPECT_TRUE(fresh.records.empty());
+  EXPECT_EQ(fresh.skipped_lines, 0u);
   std::filesystem::remove(path);
 }
 
@@ -315,15 +328,16 @@ TEST(Checkpoint, FingerprintMismatchRefusesToResume) {
   const auto path = test::temp_path("journal_fp.ckpt");
   std::filesystem::remove(path);
   {
-    eval::CheckpointWriter writer(path.string(), 1111, 4, 0, true);
+    eval::CheckpointWriter writer(path.string(), 1111, false);
     writer.append(0, sample_record());
   }
-  EXPECT_THROW((void)eval::load_checkpoint(path.string(), 2222, 4), IoError);
-  EXPECT_THROW((void)eval::load_checkpoint(path.string(), 1111, 5), IoError);
+  EXPECT_THROW((void)eval::load_checkpoint(path.string(), 2222), IoError);
+  // The run line alone identifies the experiment, before any trial lands.
+  { eval::CheckpointWriter writer(path.string(), 1111, false); }
+  EXPECT_THROW((void)eval::load_checkpoint(path.string(), 2222), IoError);
   // Missing file is not an error - it just means "start fresh".
   std::filesystem::remove(path);
-  const auto load = eval::load_checkpoint(path.string(), 2222, 4);
-  EXPECT_FALSE(load.header_ok);
+  const auto load = eval::load_checkpoint(path.string(), 2222);
   EXPECT_TRUE(load.records.empty());
 }
 
@@ -465,8 +479,7 @@ TEST(ExperimentResilience, JournalAppendFaultOnlyCostsDurability) {
   // journal, so a resume re-runs exactly that trial.
   EXPECT_EQ(result.quarantined_trials(), 0u);
   const auto load = eval::load_checkpoint(
-      path.string(), eval::experiment_fingerprint(nl.name(), config),
-      config.n_chips);
+      path.string(), eval::experiment_fingerprint(nl.name(), config));
   EXPECT_EQ(load.records.size(), config.n_chips - 1);
   std::filesystem::remove(path);
 }

@@ -15,24 +15,19 @@
 #   5. diagnosability gate: sddd_lint --diagnosability --json on the same
 #      circuit must emit a well-formed machine-readable report (ambiguity
 #      groups, per-suspect coverage, coverage ratio in [0,1]);
-#   6. crash/resume smoke: SIGKILL a journaled diagnose mid-trials, resume
-#      it, and require the resumed result JSON to be byte-identical to an
-#      uninterrupted run's (at both 1 and 2 threads);
-#   7. fault-injection smoke: SDDD_FAULTS poisons two trials; the run must
+#   6. fault-injection smoke: SDDD_FAULTS poisons two trials; the run must
 #      still exit 0 with exactly those trials quarantined in the metrics;
-#   8. postmortem + ledger/report smoke: a quarantined trial must leave a
-#      flight-recorder postmortem bundle whose run_id cross-links the run's
-#      manifest; two identical ledgered runs must report "rank stability:
-#      identical" through sddd_cli report (text and JSON);
-#   9. store/serve crash-replay smoke: build a dictionary store twice
+#   7. postmortem smoke: a quarantined trial must leave a flight-recorder
+#      postmortem bundle whose run_id cross-links the run's manifest;
+#   8. store/serve crash-replay smoke: build a dictionary store twice
 #      (byte-identical), SIGKILL `sddd_cli serve` mid-batch, restart it on
 #      the same store, replay the batch, and require the socket responses
 #      byte-identical to the in-process dict-query render;
-#  10. store corruption smoke: SDDD_FAULTS=store.crc@... poisons one of two
+#   9. store corruption smoke: SDDD_FAULTS=store.crc@... poisons one of two
 #      stores at open; the server must quarantine it, report degraded
 #      health, keep answering from the healthy store, and drain with
 #      exit 0 on SIGTERM;
-#  11. live observability smoke: serve with metrics + postmortem wired,
+#  10. live observability smoke: serve with metrics + postmortem wired,
 #      fire a concurrent dict-query batch, then assert the stats surface
 #      end to end -- JSON stats carry non-zero per-phase latency
 #      histograms and a trace-id-bearing slow-request ring, the
@@ -41,11 +36,11 @@
 #      serve.store fault quarantines with a postmortem whose event key
 #      matches the client's trace id, and a SIGTERM drain leaves a
 #      complete metrics snapshot on disk;
-#  12. perf sentry gate: the bench-history tooling self-check proves the
+#  11. perf sentry gate: the bench-history tooling self-check proves the
 #      regression gate fires on an injected 2x slowdown (and passes an
 #      unmodified rerun); the real BENCH_history.jsonl, when present, is
 #      then checked warn-free against its own rolling baseline;
-#  13. clang-tidy profile (skipped automatically when not installed).
+#  12. clang-tidy profile (skipped automatically when not installed).
 #
 #   tools/ci.sh [-jN]
 set -euo pipefail
@@ -54,20 +49,20 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:--j$(nproc)}"
 
-echo "== [1/13] tier-1 build + tests =="
+echo "== [1/12] tier-1 build + tests =="
 cmake -B build -S .
 cmake --build build "$JOBS"
 ctest --test-dir build --output-on-failure "$JOBS"
 
-echo "== [2/13] smoke tests under ASan+UBSan =="
+echo "== [2/12] smoke tests under ASan+UBSan =="
 cmake -B build-san -S . -DSDDD_ASAN=ON -DSDDD_UBSAN=ON
 cmake --build build-san "$JOBS"
 ctest --test-dir build-san --output-on-failure -L smoke "$JOBS"
 
-echo "== [3/13] sddd_lint on the ISCAS catalog =="
+echo "== [3/12] sddd_lint on the ISCAS catalog =="
 ./build/tools/sddd_lint --dict --catalog c17 s27
 
-echo "== [4/13] observability smoke (trace + metrics round-trip) =="
+echo "== [4/12] observability smoke (trace + metrics round-trip) =="
 OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR"' EXIT
 ./build/tools/sddd_cli synth "$OBS_DIR/s1196.bench" \
@@ -140,7 +135,7 @@ if [ -f BENCH_history.jsonl ]; then
   python3 tools/append_bench_history.py --check BENCH_history.jsonl
 fi
 
-echo "== [5/13] diagnosability gate (static analysis report) =="
+echo "== [5/12] diagnosability gate (static analysis report) =="
 # The machine-readable diagnosability report on the same circuit: the DIAG
 # pass must produce a well-formed report whose shape downstream tooling
 # can rely on (DESIGN.md section 13 schema).
@@ -167,33 +162,10 @@ print(f"diagnosability gate ok: {len(groups)} ambiguity groups, "
       f"{len(diag['dead_arcs'])} dead arcs")
 EOF
 
-echo "== [6/13] crash/resume smoke (SIGKILL mid-trials, byte-identical) =="
-# Reference: the same experiment, uninterrupted, at two thread counts.
-# The deterministic result JSON must not depend on threads or on how many
-# times the run was killed and resumed.
+# The crash/resume byte-identity check (SIGKILL + --resume, 1 vs 2 threads)
+# runs in tier-1 as the cli_resume_byte_identity ctest.
+echo "== [6/12] fault-injection smoke (quarantine, exit 0) =="
 DIAG_ARGS=("$OBS_DIR/s1196.bench" --chips 6 --samples 80)
-./build/tools/sddd_cli diagnose "${DIAG_ARGS[@]}" --threads 1 \
-  --json "$OBS_DIR/ref_t1.json"
-./build/tools/sddd_cli diagnose "${DIAG_ARGS[@]}" --threads 2 \
-  --json "$OBS_DIR/ref_t2.json"
-cmp "$OBS_DIR/ref_t1.json" "$OBS_DIR/ref_t2.json"
-
-# Kill a journaled run mid-trials.  The kill is best-effort: on a fast
-# machine the run may finish first, in which case the resume degenerates to
-# a pure journal replay -- still a valid byte-identity check.
-./build/tools/sddd_cli diagnose "${DIAG_ARGS[@]}" --threads 2 \
-  --checkpoint "$OBS_DIR/run.ckpt" &
-VICTIM=$!
-sleep 0.4
-kill -9 "$VICTIM" 2>/dev/null || true
-wait "$VICTIM" 2>/dev/null || true
-
-./build/tools/sddd_cli diagnose "${DIAG_ARGS[@]}" --threads 2 \
-  --checkpoint "$OBS_DIR/run.ckpt" --resume --json "$OBS_DIR/resumed.json"
-cmp "$OBS_DIR/ref_t1.json" "$OBS_DIR/resumed.json"
-echo "crash/resume smoke ok: resumed JSON byte-identical to reference"
-
-echo "== [7/13] fault-injection smoke (quarantine, exit 0) =="
 SDDD_FAULTS="exp.trial@1,3" ./build/tools/sddd_cli diagnose \
   "${DIAG_ARGS[@]}" --threads 2 --metrics-out "$OBS_DIR/fault_metrics.json"
 python3 - "$OBS_DIR/fault_metrics.json" <<'EOF'
@@ -207,7 +179,7 @@ assert counters.get("trial.quarantined") == 2, \
 print("fault smoke ok: 2 faults injected, 2 trials quarantined, exit 0")
 EOF
 
-echo "== [8/13] flight-recorder postmortem + run ledger/report smoke =="
+echo "== [7/12] flight-recorder postmortem smoke =="
 # A quarantined trial must leave a postmortem bundle behind, and the bundle
 # must cross-link the SAME run_id the manifest carries (the experiment
 # fingerprint), so the crash dump and the run's provenance can be joined.
@@ -233,28 +205,11 @@ print(f"postmortem smoke ok: {len(pm['events'])} events, run_id "
       f"{pm['run_id']} cross-links the manifest")
 EOF
 
-# Two identical runs appended to one ledger: the diff must verify the
-# result hashes match ("rank stability: identical") in both renderings.
-./build/tools/sddd_cli diagnose "${DIAG_ARGS[@]}" --threads 2 \
-  --ledger "$OBS_DIR/ledger.jsonl" --json "$OBS_DIR/led_a.json"
-./build/tools/sddd_cli diagnose "${DIAG_ARGS[@]}" --threads 2 \
-  --ledger "$OBS_DIR/ledger.jsonl" --json "$OBS_DIR/led_b.json"
-./build/tools/sddd_cli report --ledger "$OBS_DIR/ledger.jsonl" --last 2 \
-  | grep -q "rank stability: identical"
-./build/tools/sddd_cli report --ledger "$OBS_DIR/ledger.jsonl" --last 2 \
-  --json "$OBS_DIR/report_diff.json" > /dev/null
-python3 - "$OBS_DIR/report_diff.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    diff = json.load(f)
-assert diff["rank_stability"] == "identical", diff["rank_stability"]
-assert diff["run_a"] == diff["run_b"], (diff["run_a"], diff["run_b"])
-assert diff["phases"] and diff["counters"], "empty diff tables"
-print(f"ledger/report smoke ok: runs {diff['run_a']} vs {diff['run_b']}, "
-      f"{len(diff['counters'])} counters compared")
-EOF
+# The run ledger/report half (two ledgered runs, "rank stability:
+# identical" in text and JSON) runs in tier-1 as the cli_ledger_report
+# ctest.
 
-echo "== [9/13] store/serve crash-replay smoke (SIGKILL, byte-identical) =="
+echo "== [8/12] store/serve crash-replay smoke (SIGKILL, byte-identical) =="
 CLI=./build/tools/sddd_cli
 # Build the store twice: a store build is a pure function of (netlist,
 # config), so the two files must be byte-identical.
@@ -314,7 +269,7 @@ wait "$SERVE_PID"
 grep -q '"tool":"serve"' "$OBS_DIR/serve_ledger.jsonl"
 echo "serve crash-replay ok: responses byte-identical across SIGKILL+restart"
 
-echo "== [10/13] store corruption smoke (quarantine + degraded health) =="
+echo "== [9/12] store corruption smoke (quarantine + degraded health) =="
 # A second store from a different circuit, then poison the FIRST store's
 # header checksum verify at open (store.crc ordinal 0).  The server must
 # come up degraded, keep serving the healthy store, and drain with exit 0.
@@ -352,7 +307,7 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 echo "corruption smoke ok: quarantined store isolated, healthy store served, exit 0"
 
-echo "== [11/13] live observability smoke (stats, tracing, drain flush) =="
+echo "== [10/12] live observability smoke (stats, tracing, drain flush) =="
 # A server with the full observability surface wired: concurrent clients,
 # then the stats op in both renderings, a SIGUSR1 live dump, and a
 # SIGTERM drain that must leave a complete metrics snapshot behind.
@@ -510,7 +465,7 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
 echo "live observability smoke ok"
 
-echo "== [12/13] perf sentry gate (must fire on injected slowdown) =="
+echo "== [11/12] perf sentry gate (must fire on injected slowdown) =="
 # Deterministic proof on a synthetic history: the sentry passes a healthy
 # run and FAILS the same run under --inject-slowdown 2.0.
 python3 tools/selfcheck_bench_tools.py "$OBS_DIR"
@@ -521,7 +476,7 @@ if [ -f BENCH_history.jsonl ]; then
     --last 3
 fi
 
-echo "== [13/13] clang-tidy profile =="
+echo "== [12/12] clang-tidy profile =="
 tools/run_static_checks.sh
 
 echo "ci.sh: all gates passed"

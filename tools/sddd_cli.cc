@@ -475,8 +475,6 @@ int cmd_diagnose(const std::filesystem::path& path, const Options& opts,
     rec.phases["trials_s"] = ph.trials_seconds;
     rec.phases["dict_build_cpu_s"] = ph.dict_build_cpu_seconds;
     rec.phases["score_cpu_s"] = ph.score_cpu_seconds;
-    rec.counters = obs::MetricsRegistry::instance().snapshot().counters;
-    rec.peak_rss_kb = obs::read_peak_rss_kb();
     if (!manifest_out.empty()) {
       rec.manifest_fnv =
           obs::hex64(introspect::fnv1a_file(manifest_out));
@@ -486,10 +484,6 @@ int cmd_diagnose(const std::filesystem::path& path, const Options& opts,
       rec.result_fnv =
           obs::hex64(introspect::fnv1a_file(json_path));
     }
-    rec.unix_ms = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
     if (obs::append_ledger_record(obs::ledger_out_path(), rec)) {
       std::printf("ledger: appended run %s to %s\n", rec.run_id.c_str(),
                   obs::ledger_out_path().c_str());
